@@ -1,6 +1,7 @@
 //! Digital event-driven simulator cost: calendar queue vs reference
 //! heap vs the adaptive `Auto` backend on the three canonical workloads
-//! (1k-gate chain, fanout grid, cancel-heavy inertial churn), the
+//! (1k-gate chain, fanout grid, cancel-heavy inertial churn), the SPF
+//! storage loop (metastable oscillation and clean latch), the
 //! persistent scenario worker pool vs the old spawn-per-sweep
 //! discipline at 1/2/4 workers, a `sweep_10k` tier (10 000
 //! scenarios) sized to actually saturate cores at 1/2/4/8 workers —
@@ -47,7 +48,9 @@ use ivl_circuit::{
 };
 use ivl_core::channel::{InertialDelay, InvolutionChannel, PureDelay};
 use ivl_core::delay::ExpChannel;
+use ivl_core::noise::{EtaBounds, WorstCaseAdversary};
 use ivl_core::{Bit, Signal};
+use ivl_spf::SpfCircuit;
 
 // ======================================================================
 // Workloads
@@ -155,17 +158,13 @@ fn run_once(circuit: &Circuit, input: &Signal, backend: QueueBackend) -> SimResu
     sim.run(1e9).unwrap()
 }
 
-/// A simulator warmed until its backend choice is settled: one run for
-/// a concrete backend, four for `Auto` (untimed cold run, heap probe,
-/// wheel probe, committed winner) — so what gets timed is Auto's
-/// steady state, not its measurement phase.
+/// A simulator after one warm-up run. Every benched workload schedules
+/// far more than 64 events per run, so the warm-up also settles the
+/// `Auto` backend's choice: what gets timed is its steady state.
 fn warmed_sim(circuit: &Circuit, input: &Signal, backend: QueueBackend) -> Simulator {
     let mut sim = Simulator::new(circuit.clone()).with_queue_backend(backend);
     sim.set_input("a", input.clone()).unwrap();
-    let warmups = if backend == QueueBackend::Auto { 4 } else { 1 };
-    for _ in 0..warmups {
-        sim.run(1e9).unwrap();
-    }
+    sim.run(1e9).unwrap();
     sim
 }
 
@@ -314,7 +313,34 @@ fn bench_scenario_pool(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_queue_backends, bench_scenario_pool);
+/// The SPF storage loop: a long metastable oscillation (hundreds of
+/// loop events) and a clean latch.
+fn bench_spf_loop(c: &mut Criterion) {
+    let mut group = c.benchmark_group("spf_loop");
+    let delay = ExpChannel::new(1.0, 0.5, 0.5).unwrap();
+    let bounds = EtaBounds::new(0.02, 0.02).unwrap();
+    let spf = SpfCircuit::dimensioned(delay, bounds).unwrap();
+    let th = spf.theory().unwrap();
+    let input = Signal::pulse(0.0, th.delta0_tilde).unwrap();
+    group.bench_function("metastable_oscillation_400tu", |b| {
+        b.iter(|| spf.simulate(WorstCaseAdversary, &input, 400.0).unwrap());
+    });
+    let latch_input = Signal::pulse(0.0, th.lock_bound + 0.5).unwrap();
+    group.bench_function("clean_latch", |b| {
+        b.iter(|| {
+            spf.simulate(WorstCaseAdversary, &latch_input, 400.0)
+                .unwrap()
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_queue_backends,
+    bench_spf_loop,
+    bench_scenario_pool
+);
 
 // ======================================================================
 // BENCH_digital.json baseline
@@ -711,9 +737,9 @@ fn emit_baseline(test_mode: bool) {
         // The recorded auto-vs-heap ratio feeds the >= 0.95 acceptance
         // gate; while it looks marginal, re-measure and keep per-backend
         // minima so the JSON records the converged ratio rather than one
-        // noisy attempt. A true regression (the prober committing the
-        // wheel where it loses ~20%) sits near 0.8 and stays there no
-        // matter how often it is re-measured.
+        // noisy attempt. A true regression (Auto committing the wheel
+        // where it loses ~20%) sits near 0.8 and stays there no matter
+        // how often it is re-measured.
         for _ in 0..2 {
             if test_mode || secs[0] / secs[2].max(1e-12) >= 0.95 {
                 break;
@@ -991,11 +1017,8 @@ fn measure_speedup(sims: &mut [Simulator; 2]) -> f64 {
 /// simulators: a marginal ratio is re-measured and the best attempt
 /// kept, so scheduler noise on a busy shared runner is absorbed. The
 /// warmup happens exactly once — for the `Auto` challenger the warmup
-/// is where the probe commits its backend, and re-measuring the same
-/// committed simulator means a misprediction fails every attempt. (The
-/// old version re-warmed per attempt, handing a mispredicting probe
-/// three fresh chances to luck into the right backend — which is
-/// exactly how the fanout_grid regression slid through this gate.)
+/// is where it commits its backend, and re-measuring the same
+/// committed simulator means a wrong commit fails every attempt.
 fn gate_speedup_retrying(
     circuit: &Circuit,
     input: &Signal,

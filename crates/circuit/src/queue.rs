@@ -8,8 +8,7 @@
 //!
 //! * [`HeapQueue`] — the classic global `BinaryHeap`. `O(log n)` per
 //!   operation, kept as the bit-exact reference backend
-//!   ([`QueueBackend::Heap`], forced with the `IVL_FORCE_HEAP`
-//!   environment variable).
+//!   ([`QueueBackend::Heap`], forced with `IVL_QUEUE=heap`).
 //! * [`CalendarQueue`] — a bucketed calendar queue (timing wheel with a
 //!   sorted drain buffer and an overflow level). Amortized `O(1)` push
 //!   and pop: events land in a bucket chosen by integer division, only
@@ -23,9 +22,9 @@
 //! simulation is bitwise identical under either — the
 //! `queue_equivalence` proptest suite holds them to that bar. That
 //! equivalence is what makes [`QueueBackend::Auto`] (the default) safe:
-//! the simulator times both backends on the first runs of a workload and
-//! commits to the faster one, and the choice can never change a result,
-//! only its cost. The
+//! the simulator picks a backend from the event counts of the first runs
+//! of a workload, and the choice can never change a result, only its
+//! cost. The
 //! calendar bucket width is sized from the circuit's channels via
 //! [`OnlineChannel::delay_hint`](ivl_core::channel::OnlineChannel::delay_hint):
 //! the involution channels' bounded delay ranges put typical event
@@ -38,20 +37,21 @@ use crate::sim::EventId;
 
 /// Which pending-event queue implementation a simulator uses.
 ///
-/// The default is [`Auto`](QueueBackend::Auto): the simulator probes the
-/// calendar queue and the reference heap on its first runs of a workload
-/// and commits to whichever is faster (both deliver bit-identical
-/// results, so the choice is invisible in the output). A concrete
-/// backend can be forced per simulator with
+/// The default is [`Auto`](QueueBackend::Auto): the simulator runs on
+/// the reference heap until it has scheduled 64 events, then commits to
+/// the calendar queue if more than a quarter of them were cancelled and
+/// to the heap otherwise (both deliver bit-identical results, so the
+/// choice is invisible in the output). A concrete backend can be forced
+/// per simulator with
 /// [`Simulator::with_queue_backend`](crate::Simulator::with_queue_backend)
-/// or process-wide with the `IVL_QUEUE` / `IVL_FORCE_HEAP` environment
-/// variables (see [`from_env`](QueueBackend::from_env)).
+/// or process-wide with the `IVL_QUEUE` environment variable (see
+/// [`from_env`](QueueBackend::from_env)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum QueueBackend {
-    /// Adaptive: probe both backends on the first runs of a workload
-    /// (cancel-heavy runs commit to the wheel immediately) and commit to
-    /// the faster one. Results are bit-identical either way.
+    /// Adaptive: the heap until the first 64 scheduled events, then the
+    /// calendar queue if more than a quarter of them were cancelled and
+    /// the heap otherwise. Results are bit-identical either way.
     #[default]
     Auto,
     /// Bucketed calendar queue (timing wheel + sorted overflow): the
@@ -63,20 +63,11 @@ pub enum QueueBackend {
 
 impl QueueBackend {
     /// The default backend, honouring the environment:
-    ///
-    /// * `IVL_FORCE_HEAP` set (to anything but `0` or the empty string)
-    ///   forces [`Heap`](QueueBackend::Heap) — kept for compatibility,
-    ///   and it wins over `IVL_QUEUE`.
-    /// * `IVL_QUEUE=heap`, `IVL_QUEUE=wheel` (or `calendar`) and
-    ///   `IVL_QUEUE=auto` select the matching backend; anything else
-    ///   (including unset) yields [`Auto`](QueueBackend::Auto).
+    /// `IVL_QUEUE=heap`, `IVL_QUEUE=wheel` (or `calendar`) and
+    /// `IVL_QUEUE=auto` select the matching backend; anything else
+    /// (including unset) yields [`Auto`](QueueBackend::Auto).
     #[must_use]
     pub fn from_env() -> Self {
-        if let Ok(v) = std::env::var("IVL_FORCE_HEAP") {
-            if !v.is_empty() && v != "0" {
-                return QueueBackend::Heap;
-            }
-        }
         match std::env::var("IVL_QUEUE").as_deref() {
             Ok("heap") => QueueBackend::Heap,
             Ok("wheel" | "calendar") => QueueBackend::Calendar,
@@ -510,23 +501,14 @@ impl EventQueue for CalendarQueue {
 // Backend dispatch
 // ======================================================================
 
-/// Enum dispatch over the two backends (no vtable in the hot loop).
+/// The simulator's queue slot: enum dispatch over the two backends (no
+/// vtable in the hot loop). A simulator switches backend at most once
+/// (when [`QueueBackend::Auto`] commits to the calendar queue), so a
+/// switch simply builds the new backend in place.
 #[derive(Debug)]
-enum BackendQueue {
+pub(crate) enum QueueImpl {
     Heap(HeapQueue),
     Calendar(CalendarQueue),
-}
-
-/// The simulator's queue slot: the active backend plus the most
-/// recently retired one. Keeping the retired queue alive makes backend
-/// switches allocation-free after each backend has been built once —
-/// the [`QueueBackend::Auto`] probe bounces wheel → heap → winner
-/// across a workload's first runs, and a steady-state run must not pay
-/// a rebuild for that.
-#[derive(Debug)]
-pub(crate) struct QueueImpl {
-    active: BackendQueue,
-    spare: Option<BackendQueue>,
 }
 
 impl QueueImpl {
@@ -540,84 +522,66 @@ impl QueueImpl {
             QueueBackend::Calendar => false,
             QueueBackend::Auto => unreachable!("Auto is resolved before queue construction"),
         };
-        if want_heap != matches!(self.active, BackendQueue::Heap(_)) {
-            // retire the active backend instead of dropping it
-            let incoming = self.spare.take().unwrap_or_else(|| {
-                if want_heap {
-                    BackendQueue::Heap(HeapQueue::default())
-                } else {
-                    BackendQueue::Calendar(CalendarQueue::new(config))
-                }
-            });
-            self.spare = Some(std::mem::replace(&mut self.active, incoming));
-        }
-        match &mut self.active {
-            BackendQueue::Heap(q) => q.clear(),
-            BackendQueue::Calendar(q) => {
-                if q.config() == config {
-                    q.clear();
-                } else {
-                    self.active = BackendQueue::Calendar(CalendarQueue::new(config));
-                }
-            }
+        match self {
+            QueueImpl::Heap(q) if want_heap => q.clear(),
+            QueueImpl::Calendar(q) if !want_heap && q.config() == config => q.clear(),
+            _ if want_heap => *self = QueueImpl::Heap(HeapQueue::default()),
+            _ => *self = QueueImpl::Calendar(CalendarQueue::new(config)),
         }
     }
 
     #[cfg(test)]
     fn is_heap(&self) -> bool {
-        matches!(self.active, BackendQueue::Heap(_))
+        matches!(self, QueueImpl::Heap(_))
     }
 }
 
 impl Default for QueueImpl {
     fn default() -> Self {
-        QueueImpl {
-            active: BackendQueue::Heap(HeapQueue::default()),
-            spare: None,
-        }
+        QueueImpl::Heap(HeapQueue::default())
     }
 }
 
 impl EventQueue for QueueImpl {
     fn clear(&mut self) {
-        match &mut self.active {
-            BackendQueue::Heap(q) => q.clear(),
-            BackendQueue::Calendar(q) => q.clear(),
+        match self {
+            QueueImpl::Heap(q) => q.clear(),
+            QueueImpl::Calendar(q) => q.clear(),
         }
     }
 
     fn push(&mut self, key: EventKey) {
-        match &mut self.active {
-            BackendQueue::Heap(q) => q.push(key),
-            BackendQueue::Calendar(q) => q.push(key),
+        match self {
+            QueueImpl::Heap(q) => q.push(key),
+            QueueImpl::Calendar(q) => q.push(key),
         }
     }
 
     fn peek(&mut self) -> Option<EventKey> {
-        match &mut self.active {
-            BackendQueue::Heap(q) => q.peek(),
-            BackendQueue::Calendar(q) => q.peek(),
+        match self {
+            QueueImpl::Heap(q) => q.peek(),
+            QueueImpl::Calendar(q) => q.peek(),
         }
     }
 
     fn pop(&mut self) -> Option<EventKey> {
-        match &mut self.active {
-            BackendQueue::Heap(q) => q.pop(),
-            BackendQueue::Calendar(q) => q.pop(),
+        match self {
+            QueueImpl::Heap(q) => q.pop(),
+            QueueImpl::Calendar(q) => q.pop(),
         }
     }
 
     fn pop_at_or_before(&mut self, time: f64) -> Option<EventKey> {
-        match &mut self.active {
-            BackendQueue::Heap(q) => q.pop_at_or_before(time),
-            BackendQueue::Calendar(q) => q.pop_at_or_before(time),
+        match self {
+            QueueImpl::Heap(q) => q.pop_at_or_before(time),
+            QueueImpl::Calendar(q) => q.pop_at_or_before(time),
         }
     }
 
     fn discard(&mut self, time: f64, seq: u64) {
-        match &mut self.active {
-            BackendQueue::Heap(q) => q.discard(time, seq),
-            BackendQueue::Calendar(q) => q.discard(time, seq),
+        match self {
+            QueueImpl::Heap(q) => q.discard(time, seq),
+            QueueImpl::Calendar(q) => q.discard(time, seq),
         }
     }
 }
@@ -810,9 +774,13 @@ mod tests {
 
     #[test]
     fn backend_from_env_contract() {
-        // from_env is read in Simulator::new; exercising the parse here
-        // keeps the contract pinned without racing other tests on the
-        // process environment.
+        // from_env is read in Simulator::new; `IVL_QUEUE` is its only
+        // knob, and the suite never sets it, so the process default
+        // must be Auto. Setting variables here would race other tests
+        // on the process environment.
+        if std::env::var_os("IVL_QUEUE").is_none() {
+            assert_eq!(QueueBackend::from_env(), QueueBackend::Auto);
+        }
         assert_eq!(QueueBackend::default(), QueueBackend::Auto);
     }
 
@@ -825,13 +793,13 @@ mod tests {
         q.push(key(1.0, 0));
         q.ensure(QueueBackend::Calendar, CalendarConfig::default());
         assert!(q.pop().is_none(), "ensure clears the queue");
+        q.push(key(2.0, 1));
         q.ensure(QueueBackend::Heap, CalendarConfig::default());
         assert!(q.is_heap());
-        // the retired calendar is kept as the spare: switching back must
-        // reuse it (and still come up empty)
-        q.push(key(2.0, 1));
+        assert!(q.pop().is_none(), "a switch to the heap comes up empty");
+        q.push(key(3.0, 2));
         q.ensure(QueueBackend::Calendar, CalendarConfig::default());
         assert!(!q.is_heap());
-        assert!(q.pop().is_none(), "spare comes back cleared");
+        assert!(q.pop().is_none(), "a switch to the calendar comes up empty");
     }
 }

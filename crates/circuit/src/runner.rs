@@ -741,8 +741,8 @@ impl WorkerPool {
     /// Spawns `workers` threads, each owning a lean clone of `circuit`
     /// (topology `Arc`-shared, channel state copied) with fully
     /// reusable simulator state. Under [`QueueBackend::Auto`] each
-    /// worker's simulator measures its own first chunk of work and
-    /// commits to the faster queue backend independently.
+    /// worker's simulator counts the events of its own first chunk of
+    /// work and commits to a queue backend independently.
     fn spawn(
         circuit: &Circuit,
         workers: usize,

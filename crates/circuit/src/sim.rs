@@ -28,8 +28,8 @@
 //! Pending events are ordered by a pluggable [`QueueBackend`]: a
 //! bucketed calendar queue (sized from the channels' delay hints), the
 //! reference binary heap, or the default [`QueueBackend::Auto`] which
-//! measures both on the first runs of a workload and commits to the
-//! faster one. Both concrete backends deliver bit-identical
+//! counts the cancellations of the first runs of a workload and commits
+//! to one of them. Both concrete backends deliver bit-identical
 //! `(time, seq)` order — so the Auto choice never changes results —
 //! see the [`queue`](crate::queue) module docs.
 
@@ -444,140 +444,53 @@ fn calendar_config_for(circuit: &Circuit) -> CalendarConfig {
     )
 }
 
-/// Accumulated timing evidence for one backend: total timed seconds
-/// and total scheduled events across every timed probe run so far.
-#[derive(Debug, Clone, Copy, Default)]
-struct ProbeAccum {
-    secs: f64,
-    scheduled: usize,
-}
-
-impl ProbeAccum {
-    fn measured(&self) -> bool {
-        self.scheduled >= AutoProbe::MIN_EVENTS
-    }
-
-    fn per_event(&self) -> f64 {
-        self.secs / self.scheduled as f64
-    }
-}
-
-/// Measure-and-switch state for [`QueueBackend::Auto`].
+/// Backend choice for [`QueueBackend::Auto`], made from exact event
+/// counts.
 ///
-/// While unresolved, each run is a probe: the reference heap first,
-/// then the calendar wheel, each timed and normalized per *scheduled*
-/// event. Evidence is *accumulated* across runs — a workload of many
-/// tiny runs (each too noisy to time alone) still resolves once a
-/// backend has [`Self::MIN_EVENTS`] scheduled events on the books,
-/// instead of probing forever. Resolution rules:
-///
-/// - the simulator's very first run is never *timed*: it pays one-off
-///   costs (per-node state, pool growth, recorder setup) that would be
-///   billed to whichever backend probes first and flip close races.
-///   Its event counts still feed the cancel-rate shortcut below —
-///   counts are exact regardless of warmth;
-/// - while the heap is still unmeasured, the heap is also the backend
-///   used — the unresolved default is the reference implementation, so
-///   `Auto` cannot lose to the heap on workloads the probe never gets
-///   enough evidence about (this is where the old wheel-first probe
-///   shipped a persistent regression on short wide-fanout runs: tiny
-///   runs never resolved, and the unresolved default was the wheel);
-/// - a cancel rate above [`Self::CANCEL_COMMIT_RATE`] commits the
-///   wheel immediately, from the run counts of *any* backend
-///   (cancellation is a property of the workload, not the queue): the
-///   wheel's eager `discard` beats the heap's lazy stale filtering by
-///   construction on cancel-heavy workloads;
-/// - otherwise, once both backends are measured, the heap wins unless
-///   the wheel beat it *clearly*: the wheel is committed only when
-///   `wheel ≤ heap × WHEEL_MARGIN` with a margin below 1. The heap is
-///   the reference backend and the `Auto` contract is "never lose to
-///   the heap", so ties and timing noise must fall back to the heap —
-///   the wheel's one structural win (cancel-heavy churn) is already
-///   caught by the cancel-rate shortcut above.
-///
-/// Both backends are bit-identical, so however the timing races
-/// resolve, the simulation results are unaffected.
+/// A simulator runs on the reference heap until its runs have
+/// scheduled [`Self::MIN_EVENTS`] events in total, then commits for its
+/// lifetime: the calendar wheel if more than
+/// [`Self::CANCEL_COMMIT_RATE`] of those events were cancelled (the
+/// wheel discards a cancelled event eagerly, the heap carries it as a
+/// stale key until it surfaces), otherwise the heap. The counts are
+/// identical under every backend, so the choice depends only on the
+/// workload; and the backends are bit-identical, so it never changes a
+/// result, only its cost.
 #[derive(Debug, Clone, Copy, Default)]
 struct AutoProbe {
-    heap: ProbeAccum,
-    wheel: ProbeAccum,
-    /// Scheduled/processed event totals across every probe run
-    /// (including the untimed cold run) — the cancel-rate evidence.
-    sched_total: usize,
-    proc_total: usize,
-    /// Whether the cold first run has already been absorbed.
-    warmed: bool,
+    scheduled: usize,
+    processed: usize,
     resolved: Option<QueueBackend>,
 }
 
 impl AutoProbe {
-    /// A backend is considered measured once its probe runs have
-    /// accumulated this many scheduled events: a sub-64-event sample is
-    /// dominated by timer granularity, and mispredicting on one is how
-    /// the wheel used to get committed on topologies where it loses.
+    /// Scheduled events a simulator accumulates before it commits: a
+    /// cancel rate over fewer events says little about the workload.
     const MIN_EVENTS: usize = 64;
-    /// Cancel-rate threshold above which the wheel is committed
-    /// outright, without a timed comparison.
+    /// Cancel rate above which the wheel is committed.
     const CANCEL_COMMIT_RATE: f64 = 0.25;
-    /// The wheel wins a timed comparison only when
-    /// `wheel ≤ heap × WHEEL_MARGIN` (per scheduled event): it must be
-    /// measurably *faster*, not merely tied, to displace the reference
-    /// heap.
-    const WHEEL_MARGIN: f64 = 0.95;
 
-    /// The concrete backend the next run should use: the committed
-    /// winner, or the next probe target (heap until measured, then the
-    /// wheel).
+    /// The concrete backend the next run uses.
     fn backend(&self) -> QueueBackend {
-        self.resolved.unwrap_or(if self.heap.measured() {
-            QueueBackend::Calendar
-        } else {
-            QueueBackend::Heap
-        })
+        self.resolved.unwrap_or(QueueBackend::Heap)
     }
 
-    fn record(
-        &mut self,
-        backend: QueueBackend,
-        elapsed: std::time::Duration,
-        scheduled: usize,
-        processed: usize,
-    ) {
-        if self.resolved.is_some() || scheduled == 0 {
+    fn record(&mut self, scheduled: usize, processed: usize) {
+        if self.resolved.is_some() {
             return;
         }
-        self.sched_total += scheduled;
-        self.proc_total += processed;
-        if self.sched_total >= Self::MIN_EVENTS {
-            // processed counts deliveries; the rest of the schedule
-            // budget is cancellations (plus any beyond-horizon
-            // leftovers — close enough for a heuristic)
-            let cancel_rate = 1.0 - self.proc_total as f64 / self.sched_total as f64;
-            if cancel_rate > Self::CANCEL_COMMIT_RATE {
-                self.resolved = Some(QueueBackend::Calendar);
-                return;
-            }
-        }
-        if !self.warmed {
-            // cold first run: counts recorded above, timing discarded
-            self.warmed = true;
-            return;
-        }
-        let acc = match backend {
-            QueueBackend::Heap => &mut self.heap,
-            QueueBackend::Calendar => &mut self.wheel,
-            QueueBackend::Auto => unreachable!("probe runs use a concrete backend"),
-        };
-        acc.secs += elapsed.as_secs_f64();
-        acc.scheduled += scheduled;
-        if self.heap.measured() && self.wheel.measured() {
-            self.resolved = Some(
-                if self.wheel.per_event() <= self.heap.per_event() * Self::WHEEL_MARGIN {
-                    QueueBackend::Calendar
-                } else {
-                    QueueBackend::Heap
-                },
-            );
+        self.scheduled += scheduled;
+        self.processed += processed;
+        if self.scheduled >= Self::MIN_EVENTS {
+            // processed counts deliveries; the rest of the schedule is
+            // cancellations (plus any beyond-horizon leftovers — close
+            // enough for a heuristic)
+            let cancel_rate = 1.0 - self.processed as f64 / self.scheduled as f64;
+            self.resolved = Some(if cancel_rate > Self::CANCEL_COMMIT_RATE {
+                QueueBackend::Calendar
+            } else {
+                QueueBackend::Heap
+            });
         }
     }
 }
@@ -587,7 +500,7 @@ impl Simulator {
     ///
     /// The pending-event queue backend defaults to
     /// [`QueueBackend::from_env`]: [`QueueBackend::Auto`] unless
-    /// `IVL_QUEUE` / `IVL_FORCE_HEAP` pin a concrete backend.
+    /// `IVL_QUEUE` pins a concrete backend.
     #[must_use]
     pub fn new(circuit: Circuit) -> Self {
         let inputs = vec![Signal::zero(); circuit.node_count()];
@@ -608,8 +521,8 @@ impl Simulator {
 
     /// Selects the pending-event queue backend (overriding the
     /// environment default). All backends produce bitwise identical
-    /// runs; [`QueueBackend::Auto`] times the first runs and commits to
-    /// the faster concrete backend for the rest of the workload.
+    /// runs; [`QueueBackend::Auto`] commits to a concrete backend from
+    /// the event counts of the first runs.
     #[must_use]
     pub fn with_queue_backend(mut self, backend: QueueBackend) -> Self {
         self.backend = backend;
@@ -628,8 +541,7 @@ impl Simulator {
 
     /// The concrete backend the next [`run`](Simulator::run) will use:
     /// the configured backend, or — under [`QueueBackend::Auto`] — the
-    /// measured winner once the probe has resolved (before that, the
-    /// probe's next measurement target).
+    /// committed backend, and the heap until the simulator commits.
     #[must_use]
     pub fn effective_backend(&self) -> QueueBackend {
         match self.backend {
@@ -838,11 +750,7 @@ impl Simulator {
     /// out before the horizon.
     #[allow(clippy::too_many_lines)]
     pub fn run(&mut self, horizon: f64) -> Result<SimResult, SimError> {
-        // resolve Auto to a concrete backend; time the run only while
-        // the probe is still measuring (zero cost otherwise)
         let backend = self.effective_backend();
-        let probing = self.backend == QueueBackend::Auto && self.probe.resolved.is_none();
-        let probe_start = probing.then(std::time::Instant::now);
         let cancel = self.cancel.clone();
         let cap = self.transition_cap.unwrap_or(usize::MAX);
 
@@ -1069,9 +977,8 @@ impl Simulator {
         }
 
         let scheduled_events = queue.scheduled;
-        if let Some(start) = probe_start {
-            self.probe
-                .record(backend, start.elapsed(), scheduled_events, processed);
+        if self.backend == QueueBackend::Auto {
+            self.probe.record(scheduled_events, processed);
         }
         let node_signals: Vec<Signal> = node_rec.iter().map(SignalBuilder::snapshot).collect();
         let edge_signals: Vec<Signal> = edge_rec.iter().map(SignalBuilder::snapshot).collect();
@@ -1093,8 +1000,8 @@ impl Clone for Simulator {
     /// Clones the circuit — `Arc`-sharing the topology and deep-copying
     /// only the per-edge channel state — and the inputs; the clone
     /// starts with fresh, empty per-run state and (under
-    /// [`QueueBackend::Auto`]) its own unresolved probe, so each sweep
-    /// worker measures its own workload. Watch set and transition cap
+    /// [`QueueBackend::Auto`]) its own uncommitted backend choice, so
+    /// each sweep worker counts its own workload. Watch set and transition cap
     /// carry over (the watch `Arc` is shared, not deep-copied).
     fn clone(&self) -> Self {
         Simulator {
@@ -1879,37 +1786,36 @@ mod tests {
             .approx_eq(&Signal::pulse(2.0, 1.0).unwrap(), 1e-12));
     }
 
-    #[test]
-    fn auto_probe_resolves_to_a_concrete_backend() {
-        // Auto must (a) run probes on concrete backends and (b) commit
-        // after one untimed cold run plus one heap + one wheel
-        // measurement on a workload big enough to time
+    /// `i → buf → y` behind an inertial window of 10: a pulse wider
+    /// than the window passes, a narrower one is cancelled.
+    fn inertial_buffer() -> Circuit {
         let mut b = CircuitBuilder::new();
         let i = b.input("i");
-        let or = b.gate("or", GateKind::Or, Bit::Zero);
+        let g = b.gate("buf", GateKind::Buf, Bit::Zero);
         let y = b.output("y");
-        b.connect_direct(i, or, 0).unwrap();
-        b.connect(or, or, 1, pure(2.0)).unwrap();
-        b.connect(or, y, 0, pure(0.5)).unwrap();
-        let mut sim = Simulator::new(b.build().unwrap()).with_queue_backend(QueueBackend::Auto);
-        sim.set_input("i", Signal::pulse(0.0, 0.5).unwrap())
+        b.connect(i, g, 0, InertialDelay::new(1.0, 10.0).unwrap())
             .unwrap();
+        b.connect(g, y, 0, pure(0.5)).unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn auto_commits_the_heap_when_nothing_cancels() {
+        let mut sim = Simulator::new(inertial_buffer()).with_queue_backend(QueueBackend::Auto);
         assert_eq!(sim.queue_backend(), QueueBackend::Auto);
         assert_eq!(sim.effective_backend(), QueueBackend::Heap);
-        let first = sim.run(200.5).unwrap();
-        // the cold run is untimed: the heap is still being measured
+        let wide = Signal::pulse_train((0..50).map(|k| (k as f64 * 40.0, 15.0))).unwrap();
+        sim.set_input("i", wide).unwrap();
+        let first = sim.run(1e9).unwrap();
+        assert!(first.scheduled_events() >= AutoProbe::MIN_EVENTS);
+        assert_eq!(first.processed_events(), first.scheduled_events());
         assert_eq!(sim.effective_backend(), QueueBackend::Heap);
-        let second = sim.run(200.5).unwrap();
-        assert_eq!(sim.effective_backend(), QueueBackend::Calendar);
-        let third = sim.run(200.5).unwrap();
-        let resolved = sim.effective_backend();
-        assert_ne!(resolved, QueueBackend::Auto);
-        let fourth = sim.run(200.5).unwrap();
-        assert_eq!(sim.effective_backend(), resolved, "choice is committed");
-        // and the probe phases are invisible in the results
-        for run in [&second, &third, &fourth] {
-            assert_eq!(first.signal("y").unwrap(), run.signal("y").unwrap());
-            assert_eq!(first.processed_events(), run.processed_events());
+        // committed: a cancel-heavy workload afterwards does not move it
+        let narrow = Signal::pulse_train((0..100).map(|k| (k as f64 * 20.0, 0.5))).unwrap();
+        sim.set_input("i", narrow).unwrap();
+        for _ in 0..3 {
+            sim.run(1e9).unwrap();
+            assert_eq!(sim.effective_backend(), QueueBackend::Heap);
         }
     }
 
@@ -1933,33 +1839,49 @@ mod tests {
     }
 
     #[test]
-    fn auto_probe_amortizes_tiny_runs_on_the_heap() {
-        // a single run scheduling fewer than MIN_EVENTS events must not
-        // resolve the probe — short noisy measurements are exactly how
-        // the wheel used to get mispredicted onto losing topologies —
-        // and while unmeasured, the backend in use must be the
-        // reference heap, so `Auto` cannot lose to it. Evidence
-        // accumulates across runs, so enough tiny runs still resolve
-        // the probe instead of measuring forever.
-        let mut b = CircuitBuilder::new();
-        let a = b.input("a");
-        let y = b.output("y");
-        b.connect_direct(a, y, 0).unwrap();
-        let mut sim = Simulator::new(b.build().unwrap()).with_queue_backend(QueueBackend::Auto);
-        sim.set_input("a", Signal::pulse(0.0, 1.0).unwrap())
+    fn auto_accumulates_tiny_runs_on_the_heap() {
+        // each run schedules a handful of events, all cancelled: no
+        // single run is evidence enough, but their sum is
+        let mut sim = Simulator::new(inertial_buffer()).with_queue_backend(QueueBackend::Auto);
+        sim.set_input("i", Signal::pulse(0.0, 0.5).unwrap())
             .unwrap();
-        for _ in 0..4 {
-            sim.run(10.0).unwrap();
-            // still accumulating heap evidence: the heap stays in use
+        let mut scheduled = 0;
+        let mut runs = 0;
+        while scheduled < AutoProbe::MIN_EVENTS {
             assert_eq!(sim.effective_backend(), QueueBackend::Heap);
+            let run = sim.run(1e9).unwrap();
+            assert!(run.scheduled_events() > 0);
+            scheduled += run.scheduled_events();
+            runs += 1;
         }
-        // with enough tiny runs the heap evidence reaches MIN_EVENTS
-        // and the probe moves on to the wheel — it is not stuck
-        let moved_on = (0..400).any(|_| {
-            sim.run(10.0).unwrap();
-            sim.effective_backend() == QueueBackend::Calendar
-        });
-        assert!(moved_on, "accumulated tiny runs never measured the heap");
+        assert!(runs > 1, "one run already reached the threshold");
+        assert_eq!(sim.effective_backend(), QueueBackend::Calendar);
+    }
+
+    #[test]
+    fn auto_choice_is_a_function_of_the_runs() {
+        // runs of growing length, three in four pulses cancelled: the
+        // sequence starts below the threshold and crosses it
+        let inputs: Vec<Signal> = (1..=12)
+            .map(|n| {
+                Signal::pulse_train(
+                    (0..n).map(|k| (k as f64 * 40.0, if k % 4 == 0 { 15.0 } else { 0.5 })),
+                )
+                .unwrap()
+            })
+            .collect();
+        let mut a = Simulator::new(inertial_buffer()).with_queue_backend(QueueBackend::Auto);
+        let mut b = Simulator::new(inertial_buffer()).with_queue_backend(QueueBackend::Auto);
+        let mut seen = Vec::new();
+        for input in &inputs {
+            for sim in [&mut a, &mut b] {
+                sim.set_input("i", input.clone()).unwrap();
+                sim.run(1e9).unwrap();
+            }
+            assert_eq!(a.effective_backend(), b.effective_backend());
+            seen.push(a.effective_backend());
+        }
+        assert!(seen.contains(&QueueBackend::Heap) && seen.contains(&QueueBackend::Calendar));
     }
 
     #[test]

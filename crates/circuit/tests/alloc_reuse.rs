@@ -72,10 +72,9 @@ fn repeated_runs_reach_an_allocation_steady_state() {
     sim.set_input("a", input).unwrap();
 
     // warmup: grows every buffer to its high-water mark, and — under
-    // the default Auto backend — carries the simulator all the way
-    // through its probe phases (cold run, heap probe, wheel probe,
-    // committed winner), so the steady-state runs below never pay a
-    // backend-switch allocation
+    // the default Auto backend — commits the queue backend (the first
+    // run already schedules more than 64 events), so the steady-state
+    // runs below never pay a backend-switch allocation
     for _ in 0..4 {
         sim.run(1e9).unwrap();
     }

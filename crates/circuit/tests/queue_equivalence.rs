@@ -4,7 +4,7 @@
 //! cancellation), cancel-heavy inertial churn (eager discard + stale
 //! generations), feedback oscillation (far-future pushes + overflow),
 //! and seeded adversarial noise. [`QueueBackend::Auto`] gets the same
-//! bar: its probe runs (wheel, then heap, then the committed winner)
+//! bar: its runs before and after it commits to a backend
 //! must be indistinguishable from the reference heap on every workload
 //! class — including wide fanout, the wheel's historical regression
 //! case. Plus the persistent worker pool's determinism bar: identical
@@ -150,9 +150,9 @@ fn assert_backends_agree(circuit: &Circuit, input: &Signal, horizon: f64, seed: 
 }
 
 /// Runs the circuit once on the reference heap, then **three times** on
-/// one `Auto` simulator — crossing the wheel probe, the heap probe, and
-/// the committed winner — and demands every run match the reference
-/// bitwise. However the timing races resolve, Auto must be invisible.
+/// one `Auto` simulator — the first runs on the heap, the rest on
+/// whichever backend it committed to — and demands every run match the
+/// reference bitwise. Whatever it commits to, Auto must be invisible.
 fn assert_auto_is_invisible(
     circuit: &Circuit,
     port: &str,
@@ -280,8 +280,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Auto on involution pipelines: every probe phase bit-identical to
-    /// the reference heap.
+    /// Auto on involution pipelines: bit-identical to the reference
+    /// heap before and after it commits.
     #[test]
     fn auto_matches_heap_on_involution_chains(
         stages in 1usize..16,
@@ -294,7 +294,7 @@ proptest! {
     }
 
     /// Auto on wide fanout — the shape where the wheel historically
-    /// *lost* to the heap, so this is exactly where the probe's choice
+    /// *lost* to the heap, so this is exactly where Auto's choice
     /// matters and must stay invisible in the results.
     #[test]
     fn auto_matches_heap_on_fanout_stars(
@@ -308,8 +308,8 @@ proptest! {
         assert_backends_agree(&circuit, &input, 500.0, None);
     }
 
-    /// Auto on cancel-heavy churn: the probe's cancel-rate shortcut
-    /// commits the wheel early; results must not notice.
+    /// Auto on cancel-heavy churn: the cancel rate commits the wheel;
+    /// results must not notice.
     #[test]
     fn auto_matches_heap_on_cancel_heavy_inertial(
         stages in 1usize..10,
@@ -323,7 +323,7 @@ proptest! {
     }
 
     /// Auto on feedback oscillation (far-future pushes, overflow) and
-    /// under seeded noise: probe phases must track the heap reference
+    /// under seeded noise: Auto must track the heap reference
     /// transition for transition.
     #[test]
     fn auto_matches_heap_on_feedback_loops(
@@ -395,8 +395,8 @@ fn assert_sweeps_identical(a: &ivl_circuit::SweepResult, b: &ivl_circuit::SweepR
 }
 
 /// `SweepResult`s must be bit-identical between queue backends —
-/// Calendar *and* Auto (whose workers probe and commit independently,
-/// mid-sweep) — for every worker count.
+/// Calendar *and* Auto (whose workers count their own scenarios and
+/// commit independently, mid-sweep) — for every worker count.
 #[test]
 fn sweep_results_identical_across_backends_and_worker_counts() {
     let scenarios = sweep_scenarios(16);

@@ -48,8 +48,7 @@ fn steady_allocs(stages: u32) -> usize {
     let circuit = generate::inverter_chain(stages, channel).unwrap();
 
     // Pin the reference heap: this test measures *recording* memory,
-    // and the Auto prober's timed wheel-vs-heap choice on a chain this
-    // small is a coin flip — the wheel's bucket array does not reach a
+    // not the queue — the wheel's bucket array does not reach a
     // run-stable allocation count as quickly as the heap does.
     let mut sim = Simulator::new(circuit).with_queue_backend(QueueBackend::Heap);
     sim.set_watch(["y", "inv0"]).unwrap();
