@@ -45,6 +45,7 @@
 //!
 //! [`Signal`]: ivl_core::Signal
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -79,12 +79,17 @@ impl SweepRunner {
         self.workers
     }
 
-    /// Parallel [`sweep_samples`](crate::characterize::sweep_samples):
-    /// identical output, widths fanned across workers.
+    /// Sweeps pulse widths and collects `(T, δ)` samples for the
+    /// measured stage, widths fanned across workers. With
+    /// `inverted = false` the second (and interesting) sample of each run
+    /// is the edge pair opposite to `inverted = true`, so calling both
+    /// orientations characterizes `δ↑` and `δ↓`.
     ///
     /// # Errors
     ///
-    /// As [`sweep_samples`](crate::characterize::sweep_samples).
+    /// [`Error::InvalidSweep`] for a malformed configuration; otherwise
+    /// propagates simulation errors. Sweep points whose pulses are
+    /// swallowed analogly are skipped.
     pub fn sweep_samples(
         &self,
         chain: &InverterChain,
@@ -97,13 +102,13 @@ impl SweepRunner {
         collect_samples(runs, config)
     }
 
-    /// Parallel [`characterize`](crate::characterize::characterize):
-    /// both orientations of every width run concurrently, returning
+    /// Characterizes both delay functions of the measured stage: both
+    /// orientations of every width run concurrently, returning
     /// `(δ↑ samples, δ↓ samples)` sorted by offset.
     ///
     /// # Errors
     ///
-    /// As [`characterize`](crate::characterize::characterize).
+    /// As [`sweep_samples`](SweepRunner::sweep_samples).
     pub fn characterize(
         &self,
         chain: &InverterChain,
@@ -125,14 +130,20 @@ impl SweepRunner {
         Ok(partition_by_edge(all))
     }
 
-    /// Parallel
-    /// [`measure_deviations`](crate::characterize::measure_deviations):
-    /// the sweep fans out, the reference model is applied serially to
-    /// the assembled samples.
+    /// Sweeps pulse widths on a (possibly perturbed) chain/supply and
+    /// reports the deviation `D(T)` between the analog output crossings
+    /// and the prediction of `reference` (Figs. 8 and 9): the sweep fans
+    /// out, the reference model is applied to the assembled samples.
+    ///
+    /// The prediction uses the *measured* previous output crossing as
+    /// the single-history anchor, exactly as in the paper's evaluation:
+    /// for the `n`-th transition, `t̂_out = t_in + δ_ref(T)` with
+    /// `T = t_in − t_out^{prev,measured}`, and
+    /// `D = t_out^{measured} − t̂_out`.
     ///
     /// # Errors
     ///
-    /// As [`measure_deviations`](crate::characterize::measure_deviations).
+    /// As [`sweep_samples`](SweepRunner::sweep_samples).
     pub fn measure_deviations<D: DelayPair + ?Sized>(
         &self,
         chain: &InverterChain,
@@ -235,10 +246,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // serial-vs-parallel equivalence deliberately uses the compat wrappers
 mod tests {
     use super::*;
-    use crate::characterize::{characterize, measure_deviations, sweep_samples, to_piecewise};
+    use crate::characterize::to_piecewise;
 
     fn chain() -> InverterChain {
         InverterChain::umc90_like(7).unwrap()
@@ -251,29 +261,40 @@ mod tests {
         }
     }
 
+    /// The serial reference: one worker runs every width inline on the
+    /// caller's thread.
+    fn serial() -> SweepRunner {
+        SweepRunner::new().with_workers(1)
+    }
+
+    const PARALLEL: [usize; 4] = [2, 3, 4, 7];
+
     #[test]
     fn parallel_sweep_matches_serial_bitwise() {
         let vdd = VddSource::dc(1.0);
-        let serial = sweep_samples(&chain(), &vdd, &cfg(), false).unwrap();
-        for workers in [1, 2, 4] {
+        let reference = serial()
+            .sweep_samples(&chain(), &vdd, &cfg(), false)
+            .unwrap();
+        for workers in PARALLEL {
             let par = SweepRunner::new()
                 .with_workers(workers)
                 .sweep_samples(&chain(), &vdd, &cfg(), false)
                 .unwrap();
-            assert_eq!(serial, par, "workers = {workers}");
+            assert_eq!(reference, par, "workers = {workers}");
         }
     }
 
     #[test]
     fn parallel_characterize_matches_serial_bitwise() {
         let vdd = VddSource::dc(1.0);
-        let (up_s, down_s) = characterize(&chain(), &vdd, &cfg()).unwrap();
-        let (up_p, down_p) = SweepRunner::new()
-            .with_workers(3)
-            .characterize(&chain(), &vdd, &cfg())
-            .unwrap();
-        assert_eq!(up_s, up_p);
-        assert_eq!(down_s, down_p);
+        let reference = serial().characterize(&chain(), &vdd, &cfg()).unwrap();
+        for workers in PARALLEL {
+            let par = SweepRunner::new()
+                .with_workers(workers)
+                .characterize(&chain(), &vdd, &cfg())
+                .unwrap();
+            assert_eq!(reference, par, "workers = {workers}");
+        }
     }
 
     #[test]
@@ -281,14 +302,18 @@ mod tests {
         let c = chain();
         let vdd = VddSource::dc(1.0);
         let config = cfg();
-        let (up, _) = characterize(&c, &vdd, &config).unwrap();
+        let (up, _) = serial().characterize(&c, &vdd, &config).unwrap();
         let pair = to_piecewise(&up).unwrap();
-        let serial = measure_deviations(&c, &vdd, &config, &pair, true).unwrap();
-        let par = SweepRunner::new()
-            .with_workers(4)
+        let reference = serial()
             .measure_deviations(&c, &vdd, &config, &pair, true)
             .unwrap();
-        assert_eq!(serial, par);
+        for workers in PARALLEL {
+            let par = SweepRunner::new()
+                .with_workers(workers)
+                .measure_deviations(&c, &vdd, &config, &pair, true)
+                .unwrap();
+            assert_eq!(reference, par, "workers = {workers}");
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! heap vs the adaptive `Auto` backend on the three canonical workloads
 //! (1k-gate chain, fanout grid, cancel-heavy inertial churn), the SPF
 //! storage loop (metastable oscillation and clean latch), the
-//! persistent scenario worker pool vs the old spawn-per-sweep
-//! discipline at 1/2/4 workers, a `sweep_10k` tier (10 000
+//! `ScenarioRunner`'s chunked per-sweep workers vs the old static-stripe
+//! spawn-per-sweep discipline at 1/2/4 workers (recorded under the
+//! historical `pool_sweep_*` / `spawn_sweep_*` keys), a `sweep_10k` tier (10 000
 //! scenarios) sized to actually saturate cores at 1/2/4/8 workers —
 //! the old 64-scenario sweep finished in ~18 ms and measured spawn
 //! overhead, not scaling — and a `service` tier pushing a batch of
@@ -169,11 +170,11 @@ fn warmed_sim(circuit: &Circuit, input: &Signal, backend: QueueBackend) -> Simul
 }
 
 // ======================================================================
-// Sweep disciplines: persistent pool vs spawn-per-sweep
+// Sweep disciplines: the runner vs static spawn-per-sweep
 // ======================================================================
 
 /// The input signal scenario `k` assigns to port "a" — shared by the
-/// pool scenarios and the spawn reference so both disciplines always
+/// runner scenarios and the spawn reference so both disciplines always
 /// simulate identical workloads.
 fn scenario_signal(k: u64) -> Signal {
     Signal::pulse_train((0..10).map(|i| (f64::from(i) * 40.0, 15.0 + k as f64 * 0.1))).unwrap()
@@ -207,7 +208,7 @@ fn sweep10k_scenarios(n: usize) -> Vec<Scenario> {
         .collect()
 }
 
-/// The pre-pool discipline, reconstructed on the public API: spawn
+/// The old static-stripe discipline, reconstructed on the public API: spawn
 /// fresh threads per sweep, statically assign scenario `i` to worker
 /// `i % workers`, fresh circuit clones every time.
 fn spawn_per_sweep(
@@ -301,7 +302,7 @@ fn bench_scenario_pool(c: &mut Criterion) {
             b.iter(|| spawn_per_sweep(&circuit, &scenarios, 1e9, w));
         });
         let runner = ScenarioRunner::new(circuit.clone(), 1e9).with_workers(workers);
-        let _ = runner.run(&scenarios); // spawn + warm the pool
+        let _ = runner.run(&scenarios); // warm-up sweep
         group.bench_with_input(BenchmarkId::new("pool", workers), &workers, |b, _| {
             b.iter(|| {
                 let sweep = runner.run(&scenarios);
@@ -388,7 +389,7 @@ fn interleaved_best_secs(sims: &mut [Simulator], samples: usize) -> Vec<f64> {
 }
 
 /// Bit-identity gate: both backends must agree on every workload, and
-/// the pool must agree with the spawn reference for every worker count,
+/// the runner must agree with the spawn reference for every worker count,
 /// before any number is recorded.
 fn verify_bit_identity(
     workloads: &[(&str, Circuit, Signal)],
@@ -675,7 +676,7 @@ fn prior_rss_per_gate(baseline: &str, name: &str) -> Option<f64> {
 
 /// A spec-driven digital sweep through the `Experiment` facade — the
 /// facade dispatches to the same `ScenarioRunner`, so it inherits the
-/// calendar queue and the worker pool for free; this entry pins that.
+/// calendar queue and the sweep workers for free; this entry pins that.
 fn facade_sweep() -> DigitalSpec {
     DigitalSpec {
         topology: TopologySpec::InverterChain {
@@ -706,7 +707,7 @@ fn facade_sweep() -> DigitalSpec {
 }
 
 /// Emits the `BENCH_digital.json` perf baseline: heap vs calendar vs
-/// auto queue on the three workloads, spawn vs pool at 1/2/4 workers,
+/// auto queue on the three workloads, spawn vs runner at 1/2/4 workers,
 /// the facade-driven sweep, and the `sweep_10k` scaling tier.
 #[allow(clippy::too_many_lines)]
 fn emit_baseline(test_mode: bool) {
@@ -767,7 +768,7 @@ fn emit_baseline(test_mode: bool) {
         });
         entries.push((format!("spawn_sweep_{workers}w"), spawn_t));
         let runner = ScenarioRunner::new(sweep_circuit.clone(), 1e9).with_workers(workers);
-        let _ = runner.run(&scenarios); // spawn + warm the pool
+        let _ = runner.run(&scenarios); // warm-up sweep
         let pool_t = median_secs(iters, || {
             let sweep: SweepResult = runner.run(&scenarios);
             assert_eq!(sweep.stats().failures, 0);
@@ -785,14 +786,14 @@ fn emit_baseline(test_mode: bool) {
     // sweep_10k: the scaling tier. 10k cheap scenarios at 1/2/4/8
     // workers — large enough that per-scenario setup cost or a
     // per-worker netlist clone would dominate the wall time, small
-    // enough per scenario that the pool's chunked cursor matters.
+    // enough per scenario that the runner's chunked cursor matters.
     let sweep10k_circuit = pipeline_circuit(64);
     let sweep10k = sweep10k_scenarios(10_000);
     let sweep10k_iters = if test_mode { 1 } else { 3 };
     let mut sweep10k_times: Vec<(usize, f64)> = Vec::new();
     for workers in [1usize, 2, 4, 8] {
         let runner = ScenarioRunner::new(sweep10k_circuit.clone(), 1e9).with_workers(workers);
-        let _ = runner.run(&sweep10k[..64.min(sweep10k.len())]); // spawn + warm the pool
+        let _ = runner.run(&sweep10k[..64.min(sweep10k.len())]); // warm-up sweep
         let t = median_secs(sweep10k_iters, || {
             let sweep: SweepResult = runner.run(&sweep10k);
             assert_eq!(sweep.stats().failures, 0);
@@ -1051,7 +1052,7 @@ fn gate_speedup_retrying(
 ///    plus 1-CPU scheduler noise is a 2–3% band — a 0.98 floor would
 ///    flake on noise without catching anything 0.95 misses;
 /// 3. on hosts with ≥ 4 cores, the 4-worker `sweep_10k` must beat
-///    1 worker (the pool-scaling smoke). Skipped below 4 cores: with
+///    1 worker (the sweep-scaling smoke). Skipped below 4 cores: with
 ///    nothing to run on in parallel, a scaling assertion only measures
 ///    the scheduler.
 fn bench_check(
@@ -1081,7 +1082,7 @@ fn bench_check(
     if host_cpus >= 4 {
         let time_at = |workers: usize| {
             let runner = ScenarioRunner::new(sweep10k_circuit.clone(), 1e9).with_workers(workers);
-            let _ = runner.run(&sweep10k[..64.min(sweep10k.len())]); // spawn + warm
+            let _ = runner.run(&sweep10k[..64.min(sweep10k.len())]); // warm-up sweep
             let t0 = Instant::now();
             let sweep = runner.run(sweep10k);
             assert_eq!(sweep.stats().failures, 0);

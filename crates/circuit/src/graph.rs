@@ -305,9 +305,9 @@ impl CircuitBuilder {
     /// Connects `from` to pin `pin` of `to` through `channel`.
     ///
     /// Any [`OnlineChannel`](ivl_core::channel::OnlineChannel) that is
-    /// also `Clone + Send` qualifies (the [`SimChannel`] blanket impl);
-    /// clonability lets [`Circuit`]s be duplicated across scenario-sweep
-    /// worker threads.
+    /// also `Clone + Send + Sync` qualifies (the [`SimChannel`] blanket
+    /// impl); scenario-sweep workers borrow one [`Circuit`] and each
+    /// clone it into their own simulator.
     ///
     /// # Errors
     ///
@@ -612,9 +612,8 @@ impl Circuit {
     }
 
     /// Number of live circuit clones (including this one) sharing this
-    /// circuit's topology allocation. Worker-pool tests use this to pin
-    /// that discarded pools *join* their threads (each worker holds
-    /// clones) instead of leaking them.
+    /// circuit's topology allocation. Sweep tests use this to pin that
+    /// no worker's clone outlives the sweep that made it.
     #[doc(hidden)]
     #[must_use]
     pub fn topology_refs(&self) -> usize {

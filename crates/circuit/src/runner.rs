@@ -1,20 +1,19 @@
-//! Parallel multi-scenario sweeps over a **persistent, supervised
-//! worker pool**: fan a batch of stimuli / noise seeds over worker
-//! threads, each simulating its own clone of one circuit.
+//! Parallel multi-scenario sweeps on **per-sweep, supervised worker
+//! threads**: fan a batch of stimuli / noise seeds over scoped workers,
+//! each simulating its own copy of one circuit.
 //!
 //! The paper's Monte-Carlo experiments (adversary batteries, η-noise
 //! sweeps) run the *same* circuit under thousands of slightly different
-//! scenarios. A [`ScenarioRunner`] amortizes setup across the batch
-//! *and across batches*: worker threads are spawned once (lazily, on
-//! the first [`run`](ScenarioRunner::run)) and live for the runner's
-//! lifetime. Every worker's circuit clone `Arc`-shares the immutable
-//! netlist topology with the template — the only per-worker state is
-//! the mutable channel boxes (single-history + noise RNG) and one
-//! [`Simulator`] whose per-run working memory stays warm scenario after
-//! scenario and sweep after sweep. A 10k-scenario sweep therefore
-//! performs zero per-scenario allocation, zero thread spawns, and holds
-//! one template plus one working copy of the netlist per worker — all
-//! `Arc`-sharing a single topology no matter the worker count.
+//! scenarios. A [`ScenarioRunner`] amortizes setup across the batch:
+//! every [`run`](ScenarioRunner::run) starts `min(workers, scenarios)`
+//! scoped worker threads, and each builds one [`Simulator`] from the
+//! runner's borrowed circuit. That copy `Arc`-shares the immutable
+//! netlist topology — the only per-worker state is the mutable channel
+//! boxes (single-history + noise RNG) and the simulator, whose per-run
+//! working memory stays warm scenario after scenario. A 10k-scenario
+//! sweep therefore performs zero per-scenario allocation and holds one
+//! working copy of the netlist per worker, all `Arc`-sharing a single
+//! topology; no worker state outlives the sweep.
 //!
 //! Work is distributed dynamically: workers pull fixed-size index
 //! chunks from a shared atomic cursor, so a scenario that simulates 100×
@@ -27,8 +26,8 @@
 //!
 //! * a **panic** in the simulator or a channel is contained by
 //!   `catch_unwind`, the worker's simulator is rebuilt from the
-//!   template, and the failure is recorded as a typed
-//!   [`ScenarioFailure`] — the pool survives;
+//!   runner's circuit, and the failure is recorded as a typed
+//!   [`ScenarioFailure`] — the sweep goes on;
 //! * a **wall-clock budget** ([`with_scenario_timeout`]) is enforced by
 //!   a watchdog thread that cancels stragglers cooperatively (the
 //!   simulator polls a cancel flag once per event batch);
@@ -49,20 +48,19 @@
 //! many sweeps the runner has executed before: the seed pins every
 //! channel's noise stream via [`Simulator::reseed_noise`]. Unseeded
 //! scenarios on noisy circuits draw from whatever stream state their
-//! worker's simulator has reached — which now also depends on dynamic
-//! chunk assignment — so seed your scenarios when you need determinism.
+//! worker's simulator has reached within the sweep — which depends on
+//! dynamic chunk assignment — so seed your scenarios when you need
+//! determinism.
 //!
 //! [`with_scenario_timeout`]: ScenarioRunner::with_scenario_timeout
 //! [`with_max_events`]: ScenarioRunner::with_max_events
 //! [`try_run`]: ScenarioRunner::try_run
 
-use std::cell::UnsafeCell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use ivl_core::channel::{FeedEffect, OnlineChannel};
@@ -421,11 +419,11 @@ impl SweepResult {
 }
 
 // ======================================================================
-// Persistent worker pool
+// Per-sweep scoped workers
 // ======================================================================
 
-/// Per-worker supervision state, shared between the worker thread, the
-/// job abort path, and the watchdog.
+/// Per-worker supervision state, shared between the worker, the abort
+/// path, and the watchdog.
 struct WorkerShared {
     /// `Some(start)` while the worker is inside a scenario. Guarded by
     /// a mutex so the watchdog never cancels a scenario that started
@@ -442,7 +440,7 @@ impl WorkerShared {
         let mut busy = self
             .busy_since
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+            .unwrap_or_else(PoisonError::into_inner);
         self.cancel.store(false, Ordering::SeqCst);
         *busy = Some(Instant::now());
     }
@@ -451,92 +449,119 @@ impl WorkerShared {
         *self
             .busy_since
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+            .unwrap_or_else(PoisonError::into_inner) = None;
     }
 }
 
-/// Everything a worker needs besides the job: its template circuit (to
-/// rebuild the simulator after a contained panic, and to restore
-/// channels after a `CorruptChannel` fault), simulator knobs, and its
-/// supervision handle.
-struct WorkerCtx {
-    template: Circuit,
-    max_events: usize,
-    backend: QueueBackend,
-    watch: Option<Arc<Vec<String>>>,
-    shared: Arc<WorkerShared>,
-}
+/// What a worker hands back: `(index, result, retries)` for every
+/// scenario it ran.
+type Ran = Vec<(usize, Result<SimResult, SimError>, u32)>;
 
-impl WorkerCtx {
-    fn make_sim(&self) -> Simulator {
-        let mut sim = Simulator::new(self.template.clone())
-            .with_max_events(self.max_events)
-            .with_queue_backend(self.backend);
-        if let Some(watch) = &self.watch {
-            sim.set_watch(watch.iter())
-                .expect("watch names were validated against the template circuit");
-        }
-        sim.set_cancel_flag(Some(Arc::clone(&self.shared.cancel)));
-        sim
-    }
-}
-
-/// One sweep's shared state: the scenario slice (as a raw pointer whose
-/// lifetime is guarded by `try_run` blocking until every worker reports
-/// completion), the work-stealing cursor, one result slot per scenario,
-/// and the failure-policy machinery.
-struct Job {
-    scenarios: *const Scenario,
-    n: usize,
-    horizon: f64,
+/// One sweep's shared state: the runner and the scenario slice (both
+/// borrowed for the sweep's scope), the work-stealing cursor, the
+/// failure-policy machinery, and one supervision handle per worker.
+struct Sweep<'a> {
+    runner: &'a ScenarioRunner,
+    scenarios: &'a [Scenario],
     chunk: usize,
-    policy: FailurePolicy,
-    fault: Option<FaultPlan>,
     cursor: AtomicUsize,
-    slots: Vec<ResultSlot>,
-    completed: Mutex<usize>,
-    done: Condvar,
-    panicked: AtomicBool,
     aborted: AtomicBool,
     retried: AtomicU64,
     abort_failure: Mutex<Option<ScenarioFailure>>,
-    /// Every worker's cancel flag, so an aborting failure can reclaim
-    /// stragglers without waiting for them to finish naturally.
-    worker_cancels: Vec<Arc<AtomicBool>>,
+    workers: Vec<WorkerShared>,
+    /// Set once every worker has returned; stops the watchdog.
+    finished: AtomicBool,
 }
 
-// SAFETY: `scenarios` is only dereferenced while the dispatching
-// `try_run` call is blocked waiting for completion (so the borrow it
-// was created from is alive), and each `slots[i]` is written by exactly
-// one worker (the one that claimed index `i` from `cursor`).
-unsafe impl Send for Job {}
-unsafe impl Sync for Job {}
+impl<'a> Sweep<'a> {
+    fn new(runner: &'a ScenarioRunner, scenarios: &'a [Scenario]) -> Self {
+        let n = scenarios.len();
+        let workers = runner.workers.min(n);
+        Sweep {
+            runner,
+            scenarios,
+            // ~4 chunks per worker balances stealing overhead against
+            // load imbalance; a chunk is never empty
+            chunk: (n / (workers * 4)).clamp(1, 64),
+            cursor: AtomicUsize::new(0),
+            aborted: AtomicBool::new(false),
+            retried: AtomicU64::new(0),
+            abort_failure: Mutex::new(None),
+            workers: (0..workers)
+                .map(|_| WorkerShared {
+                    busy_since: Mutex::new(None),
+                    cancel: Arc::new(AtomicBool::new(false)),
+                })
+                .collect(),
+            finished: AtomicBool::new(false),
+        }
+    }
 
-/// A result slot: the scenario's outcome plus the retries spent on it.
-struct ResultSlot(UnsafeCell<Option<(Result<SimResult, SimError>, u32)>>);
+    /// Runs every worker to completion on a scoped thread, with a scoped
+    /// watchdog while a scenario timeout is set. A lone worker gets its
+    /// own thread too: results allocated on the caller's thread stay
+    /// resident after they are dropped (with glibc, a one-worker
+    /// 10 000-scenario sweep run inline left ~190 MB behind; on a worker
+    /// thread it left nothing). A panic that escapes the per-scenario
+    /// supervisor (a runner plumbing bug) is re-raised here once the
+    /// watchdog is stopped.
+    fn execute(&self) -> Ran {
+        thread::scope(|scope| {
+            let watchdog = self
+                .runner
+                .timeout
+                .map(|deadline| scope.spawn(move || self.watchdog(deadline)));
+            let handles: Vec<_> = (0..self.workers.len())
+                .map(|w| scope.spawn(move || self.work(w)))
+                .collect();
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            self.finished.store(true, Ordering::SeqCst);
+            if let Some(handle) = watchdog {
+                handle.thread().unpark();
+            }
+            joined
+                .into_iter()
+                .flat_map(|ran| ran.expect("scenario worker panicked outside scenario supervision"))
+                .collect()
+        })
+    }
 
-impl Job {
-    /// Claims and runs chunks until the cursor is exhausted or the
-    /// sweep aborts.
-    fn work(&self, sim: &mut Simulator, ctx: &WorkerCtx) {
+    fn make_sim(&self, shared: &WorkerShared) -> Simulator {
+        let runner = self.runner;
+        let mut sim = Simulator::new(runner.circuit.clone())
+            .with_max_events(runner.max_events)
+            .with_queue_backend(runner.backend);
+        if let Some(watch) = &runner.watch {
+            sim.set_watch(watch)
+                .expect("watch names were validated against the runner's circuit");
+        }
+        sim.set_cancel_flag(Some(Arc::clone(&shared.cancel)));
+        sim
+    }
+
+    /// One worker: builds its simulator, then claims and runs chunks
+    /// until the cursor is exhausted or the sweep aborts.
+    fn work(&self, worker: usize) -> Ran {
+        let shared = &self.workers[worker];
+        let mut sim = self.make_sim(shared);
+        let n = self.scenarios.len();
+        let mut ran = Vec::new();
         loop {
             if self.aborted.load(Ordering::Relaxed) {
-                return;
+                return ran;
             }
             let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
-            if start >= self.n {
-                return;
+            if start >= n {
+                return ran;
             }
-            let end = (start + self.chunk).min(self.n);
-            for idx in start..end {
+            for idx in start..(start + self.chunk).min(n) {
                 if self.aborted.load(Ordering::Relaxed) {
-                    return;
+                    return ran;
                 }
-                // SAFETY: see the `Send`/`Sync` impls above.
-                let scenario = unsafe { &*self.scenarios.add(idx) };
-                let (result, retries) = self.run_supervised(sim, ctx, idx, scenario);
+                let scenario = &self.scenarios[idx];
+                let (result, retries) = self.run_supervised(&mut sim, shared, idx, scenario);
                 if let Err(cause) = &result {
-                    if self.policy == FailurePolicy::Abort {
+                    if self.runner.policy == FailurePolicy::Abort {
                         self.abort_with(ScenarioFailure {
                             index: idx,
                             label: scenario.label.clone(),
@@ -546,7 +571,7 @@ impl Job {
                         });
                     }
                 }
-                unsafe { *self.slots[idx].0.get() = Some((result, retries)) };
+                ran.push((idx, result, retries));
             }
         }
     }
@@ -556,18 +581,18 @@ impl Job {
     fn run_supervised(
         &self,
         sim: &mut Simulator,
-        ctx: &WorkerCtx,
+        shared: &WorkerShared,
         idx: usize,
         scenario: &Scenario,
     ) -> (Result<SimResult, SimError>, u32) {
-        let fault = self.fault.as_ref().and_then(|p| p.kind_at(idx));
-        let extra = match self.policy {
+        let fault = self.runner.fault.as_ref().and_then(|p| p.kind_at(idx));
+        let extra = match self.runner.policy {
             FailurePolicy::Retry(n) => n,
             _ => 0,
         };
         let mut attempt: u32 = 0;
         loop {
-            let result = run_attempt(sim, ctx, idx, scenario, self.horizon, fault, attempt);
+            let result = self.run_attempt(sim, shared, idx, scenario, fault, attempt);
             if result.is_ok() || attempt >= extra || self.aborted.load(Ordering::Relaxed) {
                 return (result, attempt);
             }
@@ -579,47 +604,116 @@ impl Job {
     /// Records the triggering failure (first writer wins), then stops
     /// dispatch and cancels every worker's in-flight scenario.
     fn abort_with(&self, failure: ScenarioFailure) {
-        {
-            let mut slot = self
-                .abort_failure
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if slot.is_none() {
-                *slot = Some(failure);
-            }
-        }
+        self.abort_failure
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get_or_insert(failure);
         self.aborted.store(true, Ordering::SeqCst);
-        self.cursor.store(self.n, Ordering::Relaxed);
-        for flag in &self.worker_cancels {
-            flag.store(true, Ordering::SeqCst);
+        self.cursor.store(self.scenarios.len(), Ordering::Relaxed);
+        for worker in &self.workers {
+            worker.cancel.store(true, Ordering::SeqCst);
         }
     }
-}
 
-/// Runs one attempt of one scenario inside the panic supervisor.
-fn run_attempt(
-    sim: &mut Simulator,
-    ctx: &WorkerCtx,
-    idx: usize,
-    scenario: &Scenario,
-    horizon: f64,
-    fault: Option<&FaultKind>,
-    attempt: u32,
-) -> Result<SimResult, SimError> {
-    ctx.shared.begin();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_with_fault(sim, ctx, idx, scenario, horizon, fault, attempt)
-    }));
-    ctx.shared.end();
-    match outcome {
-        Ok(result) => result,
-        Err(payload) => {
-            // the panic may have left the simulator (or its channel
-            // boxes) inconsistent — rebuild from the template
-            *sim = ctx.make_sim();
-            Err(SimError::ScenarioPanicked {
-                message: panic_message(payload.as_ref()),
-            })
+    /// Runs one attempt of one scenario inside the panic supervisor.
+    fn run_attempt(
+        &self,
+        sim: &mut Simulator,
+        shared: &WorkerShared,
+        idx: usize,
+        scenario: &Scenario,
+        fault: Option<&FaultKind>,
+        attempt: u32,
+    ) -> Result<SimResult, SimError> {
+        shared.begin();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            self.run_with_fault(sim, shared, idx, scenario, fault, attempt)
+        }));
+        shared.end();
+        match outcome {
+            Ok(result) => result,
+            Err(payload) => {
+                // the panic may have left the simulator (or its channel
+                // boxes) inconsistent — rebuild from the runner's circuit
+                *sim = self.make_sim(shared);
+                Err(SimError::ScenarioPanicked {
+                    message: panic_message(payload.as_ref()),
+                })
+            }
+        }
+    }
+
+    fn run_with_fault(
+        &self,
+        sim: &mut Simulator,
+        shared: &WorkerShared,
+        idx: usize,
+        scenario: &Scenario,
+        fault: Option<&FaultKind>,
+        attempt: u32,
+    ) -> Result<SimResult, SimError> {
+        let horizon = self.runner.horizon;
+        match fault {
+            Some(FaultKind::Panic) => panic!("injected fault: panic at scenario {idx}"),
+            Some(FaultKind::Flaky { failures }) if attempt < *failures => {
+                panic!("injected fault: flaky panic at scenario {idx} (attempt {attempt})")
+            }
+            Some(FaultKind::Stall) => {
+                // block until the watchdog reclaims this worker (or the
+                // defensive cap expires); the cancelled flag then surfaces
+                // as `SimError::Cancelled` from the run below
+                let start = Instant::now();
+                while !shared.cancel.load(Ordering::Relaxed) && start.elapsed() < STALL_CAP {
+                    thread::sleep(Duration::from_millis(1));
+                }
+                run_scenario(sim, scenario, horizon)
+            }
+            Some(FaultKind::ExhaustBudget) => {
+                let saved = sim.max_events();
+                sim.set_max_events(1);
+                let result = run_scenario(sim, scenario, horizon);
+                sim.set_max_events(saved);
+                result
+            }
+            Some(FaultKind::CorruptChannel) => {
+                let circuit = &self.runner.circuit;
+                let Some(edge) = circuit.first_channel_edge() else {
+                    return run_scenario(sim, scenario, horizon);
+                };
+                sim.replace_channel(edge, Box::new(CorruptedChannel));
+                let result = run_scenario(sim, scenario, horizon);
+                let original = circuit
+                    .clone_channel(edge)
+                    .expect("the runner's circuit carries a channel on this edge");
+                sim.replace_channel(edge, original);
+                result
+            }
+            Some(FaultKind::Flaky { .. }) | None => run_scenario(sim, scenario, horizon),
+        }
+    }
+
+    /// The per-scenario wall-clock enforcer: polls every worker's
+    /// `busy_since` stamp and sets its cancel flag once the deadline is
+    /// exceeded. The stamp and the flag are touched under the same
+    /// mutex the worker uses, so a freshly started scenario can never
+    /// be cancelled by a stale observation.
+    fn watchdog(&self, deadline: Duration) {
+        let tick = (deadline / 8)
+            .max(Duration::from_millis(1))
+            .min(Duration::from_millis(50));
+        while !self.finished.load(Ordering::SeqCst) {
+            thread::park_timeout(tick);
+            for worker in &self.workers {
+                let busy = worker
+                    .busy_since
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                if let Some(since) = *busy {
+                    if since.elapsed() >= deadline {
+                        worker.cancel.store(true, Ordering::SeqCst);
+                    }
+                }
+            }
         }
     }
 }
@@ -637,54 +731,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Defensive cap on [`FaultKind::Stall`] when no watchdog is armed.
 const STALL_CAP: Duration = Duration::from_secs(30);
 
-fn run_with_fault(
-    sim: &mut Simulator,
-    ctx: &WorkerCtx,
-    idx: usize,
-    scenario: &Scenario,
-    horizon: f64,
-    fault: Option<&FaultKind>,
-    attempt: u32,
-) -> Result<SimResult, SimError> {
-    match fault {
-        Some(FaultKind::Panic) => panic!("injected fault: panic at scenario {idx}"),
-        Some(FaultKind::Flaky { failures }) if attempt < *failures => {
-            panic!("injected fault: flaky panic at scenario {idx} (attempt {attempt})")
-        }
-        Some(FaultKind::Stall) => {
-            // block until the watchdog reclaims this worker (or the
-            // defensive cap expires); the cancelled flag then surfaces
-            // as `SimError::Cancelled` from the run below
-            let start = Instant::now();
-            while !ctx.shared.cancel.load(Ordering::Relaxed) && start.elapsed() < STALL_CAP {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            run_scenario(sim, scenario, horizon)
-        }
-        Some(FaultKind::ExhaustBudget) => {
-            let saved = sim.max_events();
-            sim.set_max_events(1);
-            let result = run_scenario(sim, scenario, horizon);
-            sim.set_max_events(saved);
-            result
-        }
-        Some(FaultKind::CorruptChannel) => {
-            let Some(edge) = ctx.template.first_channel_edge() else {
-                return run_scenario(sim, scenario, horizon);
-            };
-            sim.replace_channel(edge, Box::new(CorruptedChannel));
-            let result = run_scenario(sim, scenario, horizon);
-            let original = ctx
-                .template
-                .clone_channel(edge)
-                .expect("template edge carries a channel");
-            sim.replace_channel(edge, original);
-            result
-        }
-        Some(FaultKind::Flaky { .. }) | None => run_scenario(sim, scenario, horizon),
-    }
-}
-
 /// A deliberately broken channel: it claims a pairwise cancellation on
 /// its very first input, which the simulator rejects as a hard
 /// [`SimError::CancellationMismatch`] — the deterministic stand-in for
@@ -700,184 +746,17 @@ impl OnlineChannel for CorruptedChannel {
     fn reset(&mut self) {}
 }
 
-/// Increments the job's completion count when dropped — *including*
-/// during unwinding, so a panicking worker cannot leave `try_run`
-/// waiting forever on the condvar.
-struct CompletionGuard<'a>(&'a Job);
-
-impl Drop for CompletionGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.panicked.store(true, Ordering::SeqCst);
-        }
-        let mut completed = self
-            .0
-            .completed
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *completed += 1;
-        self.0.done.notify_all();
-    }
-}
-
-fn worker_loop(rx: &Receiver<Arc<Job>>, ctx: &WorkerCtx) {
-    let mut sim = ctx.make_sim();
-    while let Ok(job) = rx.recv() {
-        let _guard = CompletionGuard(&job);
-        job.work(&mut sim, ctx);
-    }
-}
-
-/// The spawned threads, their job mailboxes and supervision handles.
-/// Dropping the pool disconnects the mailboxes (workers exit their
-/// receive loop) and joins every thread.
-struct WorkerPool {
-    senders: Vec<Sender<Arc<Job>>>,
-    handles: Vec<JoinHandle<()>>,
-    shared: Vec<Arc<WorkerShared>>,
-}
-
-impl WorkerPool {
-    /// Spawns `workers` threads, each owning a lean clone of `circuit`
-    /// (topology `Arc`-shared, channel state copied) with fully
-    /// reusable simulator state. Under [`QueueBackend::Auto`] each
-    /// worker's simulator counts the events of its own first chunk of
-    /// work and commits to a queue backend independently.
-    fn spawn(
-        circuit: &Circuit,
-        workers: usize,
-        max_events: usize,
-        backend: QueueBackend,
-        watch: Option<&Arc<Vec<String>>>,
-    ) -> Self {
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        let mut shareds = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let shared = Arc::new(WorkerShared {
-                busy_since: Mutex::new(None),
-                cancel: Arc::new(AtomicBool::new(false)),
-            });
-            let ctx = WorkerCtx {
-                template: circuit.clone(),
-                max_events,
-                backend,
-                watch: watch.map(Arc::clone),
-                shared: Arc::clone(&shared),
-            };
-            let (tx, rx) = mpsc::channel::<Arc<Job>>();
-            senders.push(tx);
-            shareds.push(shared);
-            handles.push(std::thread::spawn(move || worker_loop(&rx, &ctx)));
-        }
-        WorkerPool {
-            senders,
-            handles,
-            shared: shareds,
-        }
-    }
-
-    fn workers(&self) -> usize {
-        self.senders.len()
-    }
-
-    fn cancel_flags(&self) -> Vec<Arc<AtomicBool>> {
-        self.shared.iter().map(|s| Arc::clone(&s.cancel)).collect()
-    }
-
-    /// Hands the job to every worker and blocks until all of them have
-    /// drained the cursor (or bailed out of an aborting sweep). Arms a
-    /// watchdog for the duration if a scenario deadline is set. Returns
-    /// `false` if a worker panicked *outside* the per-scenario
-    /// supervisor (pool plumbing bug).
-    fn execute(&self, job: &Arc<Job>, deadline: Option<Duration>) -> bool {
-        // a send only fails if the worker already died; waiting counts
-        // only the workers that actually received the job, so the wait
-        // below always terminates
-        let alive = self
-            .senders
-            .iter()
-            .filter(|tx| tx.send(Arc::clone(job)).is_ok())
-            .count();
-        let watchdog = deadline.map(|d| self.spawn_watchdog(job, d, alive));
-        let mut completed = job
-            .completed
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        while *completed < alive {
-            completed = job
-                .done
-                .wait(completed)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        drop(completed);
-        if let Some(handle) = watchdog {
-            // exits within one tick of the completion count reaching
-            // `alive` — bounded by 50 ms
-            let _ = handle.join();
-        }
-        !job.panicked.load(Ordering::SeqCst)
-    }
-
-    /// The per-scenario wall-clock enforcer: polls every worker's
-    /// `busy_since` stamp and sets its cancel flag once the deadline is
-    /// exceeded. The stamp and the flag are touched under the same
-    /// mutex the worker uses, so a freshly started scenario can never
-    /// be cancelled by a stale observation.
-    fn spawn_watchdog(&self, job: &Arc<Job>, deadline: Duration, alive: usize) -> JoinHandle<()> {
-        let job = Arc::clone(job);
-        let shared: Vec<Arc<WorkerShared>> = self.shared.clone();
-        std::thread::spawn(move || {
-            let tick = (deadline / 8)
-                .max(Duration::from_millis(1))
-                .min(Duration::from_millis(50));
-            loop {
-                {
-                    let completed = job
-                        .completed
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if *completed >= alive {
-                        return;
-                    }
-                }
-                std::thread::sleep(tick);
-                for s in &shared {
-                    let busy = s
-                        .busy_since
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if let Some(since) = *busy {
-                        if since.elapsed() >= deadline {
-                            s.cancel.store(true, Ordering::SeqCst);
-                        }
-                    }
-                }
-            }
-        })
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            // worker panics were already surfaced by `execute`
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Fans scenarios across a persistent pool of supervised worker
-/// threads, each simulating its own clone of the circuit.
+/// Fans scenarios across supervised worker threads, each simulating its
+/// own copy of the circuit.
 ///
-/// The pool is spawned lazily on the first [`run`](ScenarioRunner::run)
-/// and reused for every subsequent sweep: each worker keeps one warm
-/// [`Simulator`] (event pool, recorders, queue) for the runner's whole
-/// lifetime. Workers claim scenario-index chunks from a shared atomic
-/// cursor, so load imbalance between scenarios is absorbed dynamically.
-/// Scenarios run supervised: panic containment, per-scenario
-/// timeouts, [`FailurePolicy`] handling and [`FaultPlan`] injection.
+/// Every [`run`](ScenarioRunner::run) starts `min(workers, scenarios)`
+/// scoped worker threads; each keeps
+/// one warm [`Simulator`] (event pool, recorders, queue) for all of its
+/// scenarios in that sweep, and nothing outlives the sweep. Workers
+/// claim scenario-index chunks from a shared atomic cursor, so load
+/// imbalance between scenarios is absorbed dynamically. Scenarios run
+/// supervised: panic containment, per-scenario timeouts,
+/// [`FailurePolicy`] handling and [`FaultPlan`] injection.
 ///
 /// ```
 /// use ivl_circuit::{CircuitBuilder, GateKind, Scenario, ScenarioRunner, Simulator};
@@ -904,6 +783,7 @@ impl Drop for WorkerPool {
 /// # Ok(())
 /// # }
 /// ```
+#[derive(Debug)]
 pub struct ScenarioRunner {
     circuit: Circuit,
     horizon: f64,
@@ -913,8 +793,7 @@ pub struct ScenarioRunner {
     policy: FailurePolicy,
     timeout: Option<Duration>,
     fault: Option<FaultPlan>,
-    watch: Option<Arc<Vec<String>>>,
-    pool: Mutex<Option<WorkerPool>>,
+    watch: Option<Vec<String>>,
 }
 
 impl ScenarioRunner {
@@ -922,7 +801,7 @@ impl ScenarioRunner {
     /// workers as the machine advertises.
     #[must_use]
     pub fn new(circuit: Circuit, horizon: f64) -> Self {
-        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let workers = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         ScenarioRunner {
             circuit,
             horizon,
@@ -933,19 +812,14 @@ impl ScenarioRunner {
             timeout: None,
             fault: None,
             watch: None,
-            pool: Mutex::new(None),
         }
     }
 
-    /// Sets the number of worker threads (clamped to ≥ 1). Discards any
-    /// already-spawned pool (joining, not leaking, its threads).
+    /// Sets the number of worker threads (clamped to ≥ 1). A sweep
+    /// never starts more workers than it has scenarios.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        *self
-            .pool
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
         self
     }
 
@@ -953,28 +827,18 @@ impl ScenarioRunner {
     /// [`Simulator::with_max_events`]). The budget is enforced — and
     /// reported — per scenario: exhausting it fails that scenario with
     /// [`SimError::MaxEventsExceeded`], it never aborts the sweep by
-    /// itself. Discards any already-spawned pool (joining, not leaking,
-    /// its threads).
+    /// itself.
     #[must_use]
     pub fn with_max_events(mut self, max_events: usize) -> Self {
         self.max_events = max_events;
-        *self
-            .pool
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
         self
     }
 
     /// Selects the workers' pending-event queue backend (see
-    /// [`Simulator::with_queue_backend`]). Discards any already-spawned
-    /// pool (joining, not leaking, its threads).
+    /// [`Simulator::with_queue_backend`]).
     #[must_use]
     pub fn with_queue_backend(mut self, backend: QueueBackend) -> Self {
         self.backend = backend;
-        *self
-            .pool
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
         self
     }
 
@@ -982,8 +846,7 @@ impl ScenarioRunner {
     /// nodes (see [`Simulator::set_watch`]) — on large circuits this
     /// bounds sweep memory by the watch set instead of the netlist.
     /// The circuit's output ports are always added to the set, so
-    /// [`SweepStats`] pulse statistics stay complete. Discards any
-    /// already-spawned pool (joining, not leaking, its threads).
+    /// [`SweepStats`] pulse statistics stay complete.
     ///
     /// # Errors
     ///
@@ -1007,17 +870,12 @@ impl ScenarioRunner {
         }
         list.sort_unstable();
         list.dedup();
-        self.watch = Some(Arc::new(list));
-        *self
-            .pool
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+        self.watch = Some(list);
         Ok(self)
     }
 
     /// Sets the sweep's [`FailurePolicy`] (default
-    /// [`FailurePolicy::Skip`]). Per-job configuration: the worker pool
-    /// is kept.
+    /// [`FailurePolicy::Skip`]).
     #[must_use]
     pub fn with_failure_policy(mut self, policy: FailurePolicy) -> Self {
         self.policy = policy;
@@ -1028,8 +886,7 @@ impl ScenarioRunner {
     /// any scenario still running `timeout` after it started, failing
     /// it with [`SimError::Cancelled`]. Cancellation is cooperative
     /// (polled once per event batch), so enforcement granularity is one
-    /// batch plus one watchdog tick (≤ 50 ms). Per-job configuration:
-    /// the worker pool is kept.
+    /// batch plus one watchdog tick (≤ 50 ms).
     #[must_use]
     pub fn with_scenario_timeout(mut self, timeout: Duration) -> Self {
         self.timeout = Some(timeout);
@@ -1038,8 +895,7 @@ impl ScenarioRunner {
 
     /// Installs a deterministic [`FaultPlan`] (chaos testing). Faults
     /// fire by scenario index on every sweep this runner executes until
-    /// the plan is replaced. Per-job configuration: the worker pool is
-    /// kept.
+    /// the plan is replaced.
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
@@ -1049,7 +905,7 @@ impl ScenarioRunner {
     /// Installs or clears the fault plan in place — the mutable twin of
     /// [`with_fault_plan`](ScenarioRunner::with_fault_plan), for callers
     /// that re-target the plan between runs (e.g. batch-local index
-    /// remapping). Per-job configuration: the worker pool is kept.
+    /// remapping).
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
     }
@@ -1065,11 +921,11 @@ impl ScenarioRunner {
     ///
     /// Workers pull scenario-index chunks from a shared cursor; each
     /// worker reuses one simulator (and its event pool) for all of its
-    /// scenarios, across every `run` call on this runner. Failures —
-    /// simulation errors, contained worker panics, watchdog
-    /// cancellations — are recorded per scenario under the default
-    /// [`FailurePolicy::Skip`] (see [`SweepResult::failures`]); they do
-    /// not abort the sweep and they do not kill the pool.
+    /// scenarios in the sweep. Failures — simulation errors, contained
+    /// worker panics, watchdog cancellations — are recorded per
+    /// scenario under the default [`FailurePolicy::Skip`] (see
+    /// [`SweepResult::failures`]); they do not abort the sweep and they
+    /// do not stop the worker that hit them.
     ///
     /// # Panics
     ///
@@ -1097,73 +953,25 @@ impl ScenarioRunner {
     pub fn try_run(&self, scenarios: &[Scenario]) -> Result<SweepResult, SweepAborted> {
         let n = scenarios.len();
         let mut slots: Vec<Option<(Result<SimResult, SimError>, u32)>> = Vec::new();
+        slots.resize_with(n, || None);
         let mut retried = 0u64;
         if n > 0 {
-            let mut pool_guard = self
-                .pool
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let pool = pool_guard.get_or_insert_with(|| {
-                WorkerPool::spawn(
-                    &self.circuit,
-                    self.workers,
-                    self.max_events,
-                    self.backend,
-                    self.watch.as_ref(),
-                )
-            });
-            // ~4 chunks per worker balances stealing overhead against
-            // load imbalance; a chunk is never empty
-            let chunk = (n / (pool.workers() * 4)).clamp(1, 64);
-            let job = Arc::new(Job {
-                scenarios: scenarios.as_ptr(),
-                n,
-                horizon: self.horizon,
-                chunk,
-                policy: self.policy,
-                fault: self.fault.clone(),
-                cursor: AtomicUsize::new(0),
-                slots: (0..n).map(|_| ResultSlot(UnsafeCell::new(None))).collect(),
-                completed: Mutex::new(0),
-                done: Condvar::new(),
-                panicked: AtomicBool::new(false),
-                aborted: AtomicBool::new(false),
-                retried: AtomicU64::new(0),
-                abort_failure: Mutex::new(None),
-                worker_cancels: pool.cancel_flags(),
-            });
-            let ok = pool.execute(&job, self.timeout);
-            if !ok {
-                // a panic escaped the per-scenario supervisor: a pool
-                // plumbing bug, not a scenario failure — discard the
-                // pool so a subsequent run starts from fresh workers
-                *pool_guard = None;
-                panic!("scenario worker panicked outside scenario supervision");
+            let sweep = Sweep::new(self, scenarios);
+            for (idx, result, retries) in sweep.execute() {
+                slots[idx] = Some((result, retries));
             }
-            drop(pool_guard);
-            retried = job.retried.load(Ordering::Relaxed);
-            // SAFETY: every worker has reported completion (with the
-            // release/acquire ordering of the completion mutex), so the
-            // slots are no longer aliased.
-            if job.aborted.load(Ordering::SeqCst) {
-                let failure = job
-                    .abort_failure
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .take()
-                    .expect("an aborted sweep records its triggering failure");
-                let completed = job
-                    .slots
+            retried = sweep.retried.into_inner();
+            let abort = sweep
+                .abort_failure
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner);
+            if let Some(failure) = abort {
+                let completed = slots
                     .iter()
-                    .filter(|slot| unsafe { matches!(&*slot.0.get(), Some((Ok(_), _))) })
+                    .filter(|slot| matches!(slot, Some((Ok(_), _))))
                     .count();
                 return Err(SweepAborted { failure, completed });
             }
-            slots = job
-                .slots
-                .iter()
-                .map(|slot| unsafe { (*slot.0.get()).take() })
-                .collect();
         }
 
         let mut failures: Vec<ScenarioFailure> = Vec::new();
@@ -1211,26 +1019,6 @@ impl ScenarioRunner {
             stats,
             failures,
         })
-    }
-}
-
-impl fmt::Debug for ScenarioRunner {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let pool_spawned = self
-            .pool
-            .lock()
-            .map(|guard| guard.is_some())
-            .unwrap_or(false);
-        f.debug_struct("ScenarioRunner")
-            .field("circuit", &self.circuit)
-            .field("horizon", &self.horizon)
-            .field("max_events", &self.max_events)
-            .field("workers", &self.workers)
-            .field("backend", &self.backend)
-            .field("policy", &self.policy)
-            .field("timeout", &self.timeout)
-            .field("pool_spawned", &pool_spawned)
-            .finish()
     }
 }
 
@@ -1436,6 +1224,67 @@ mod tests {
         assert!(clone.shares_topology_with(&circuit));
         // while a freshly *built* identical circuit does not
         assert!(!noisy_circuit().shares_topology_with(&circuit));
+    }
+
+    /// A pure delay whose every clone bumps a shared counter.
+    #[derive(Debug)]
+    struct CountingDelay {
+        inner: PureDelay,
+        clones: Arc<AtomicUsize>,
+    }
+
+    impl Clone for CountingDelay {
+        fn clone(&self) -> Self {
+            self.clones.fetch_add(1, Ordering::SeqCst);
+            CountingDelay {
+                inner: self.inner.clone(),
+                clones: Arc::clone(&self.clones),
+            }
+        }
+    }
+
+    impl OnlineChannel for CountingDelay {
+        fn feed(&mut self, input: Transition) -> FeedEffect {
+            self.inner.feed(input)
+        }
+
+        fn reset(&mut self) {
+            self.inner.reset();
+        }
+
+        fn delay_hint(&self) -> Option<f64> {
+            self.inner.delay_hint()
+        }
+    }
+
+    #[test]
+    fn a_sweep_starts_at_most_one_worker_per_scenario() {
+        // every started worker clones each channel box exactly once (into
+        // its simulator), so the clone count is the worker count
+        let clones = [Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0))];
+        let counting = |k: usize| CountingDelay {
+            inner: PureDelay::new(1.0).unwrap(),
+            clones: Arc::clone(&clones[k]),
+        };
+        let mut b = CircuitBuilder::new();
+        let a = b.input("a");
+        let inv = b.gate("inv", GateKind::Not, Bit::One);
+        let y = b.output("y");
+        b.connect(a, inv, 0, counting(0)).unwrap();
+        b.connect(inv, y, 0, counting(1)).unwrap();
+        let runner = ScenarioRunner::new(b.build().unwrap(), 100.0).with_workers(4);
+        for n in 1..=6 {
+            let before: Vec<usize> = clones.iter().map(|c| c.load(Ordering::SeqCst)).collect();
+            let sweep = runner.run(&pulse_scenarios(n));
+            assert_eq!(sweep.stats().failures, 0);
+            for (edge, counter) in clones.iter().enumerate() {
+                assert_eq!(
+                    counter.load(Ordering::SeqCst) - before[edge],
+                    n.min(4),
+                    "edge {edge}, {n} scenarios at 4 workers"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! bar: its runs before and after it commits to a backend
 //! must be indistinguishable from the reference heap on every workload
 //! class — including wide fanout, the wheel's historical regression
-//! case. Plus the persistent worker pool's determinism bar: identical
+//! case. Plus the scenario runner's determinism bar: identical
 //! `SweepResult`s across 1/2/4/7/8 workers and across repeated `run()`
 //! calls on one runner.
 
@@ -419,9 +419,9 @@ fn sweep_results_identical_across_backends_and_worker_counts() {
     }
 }
 
-/// The persistent pool keeps worker simulators warm across `run()`
-/// calls; repeated sweeps on one runner must stay bit-identical, for
-/// every worker count.
+/// Every `run()` builds its workers' simulators afresh; repeated
+/// sweeps on one runner must stay bit-identical, for every worker
+/// count.
 #[test]
 fn pool_is_deterministic_across_repeated_runs_and_worker_counts() {
     let scenarios = sweep_scenarios(13);
@@ -441,7 +441,7 @@ fn pool_is_deterministic_across_repeated_runs_and_worker_counts() {
     }
 }
 
-/// Cancel-heavy inertial sweeps through the pool: the eager-discard
+/// Cancel-heavy inertial sweeps through the runner: the eager-discard
 /// path and slab recycling under parallel, repeated execution.
 #[test]
 fn pool_sweeps_cancel_heavy_identical_across_backends() {

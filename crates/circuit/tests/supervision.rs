@@ -1,5 +1,5 @@
 //! Scenario supervision: panic containment, failure policies, retries,
-//! watchdog timeouts, fault injection, and pool lifecycle.
+//! watchdog timeouts, fault injection, and the per-sweep worker lifecycle.
 
 use std::time::Duration;
 
@@ -239,40 +239,38 @@ fn watchdog_cancels_stalled_scenarios() {
 }
 
 #[test]
-fn reconfiguration_joins_the_old_pool_instead_of_leaking_it() {
-    let circuit = inverter_circuit();
-    let runner = ScenarioRunner::new(circuit, 100.0).with_workers(3);
+fn no_worker_state_outlives_a_sweep() {
+    let runner = ScenarioRunner::new(inverter_circuit(), 100.0).with_workers(3);
     assert_eq!(runner.circuit().topology_refs(), 1);
 
-    // first run spawns the pool: each worker holds a template clone and
-    // a simulator clone, all Arc-sharing the runner's topology
+    // while a sweep runs, each worker's simulator Arc-shares the
+    // runner's topology; once `run` returns, every copy is gone
     let sweep = runner.run(&seeded_scenarios(4));
     assert_eq!(sweep.stats().failures, 0);
-    assert_eq!(runner.circuit().topology_refs(), 1 + 2 * 3);
-
-    // reconfiguring must join the old workers — every worker-held
-    // topology reference is dropped, not leaked
-    let runner = runner.with_max_events(1_000_000);
-    assert_eq!(runner.circuit().topology_refs(), 1);
-    let runner = runner.with_queue_backend(ivl_circuit::QueueBackend::Heap);
     assert_eq!(runner.circuit().topology_refs(), 1);
 
-    // and the runner still works afterwards
+    // the same holds for a reconfigured runner, for a sweep with an
+    // armed watchdog, and for one whose worker rebuilt its simulator
+    // after a contained panic
+    let runner = runner
+        .with_max_events(1_000_000)
+        .with_queue_backend(ivl_circuit::QueueBackend::Heap)
+        .with_scenario_timeout(Duration::from_secs(30))
+        .with_fault_plan(FaultPlan::new().with_fault(1, FaultKind::Panic));
     let sweep = runner.run(&seeded_scenarios(4));
-    assert_eq!(sweep.stats().failures, 0);
-    assert_eq!(runner.circuit().topology_refs(), 1 + 2 * 3);
-    drop(runner);
+    assert_eq!(sweep.stats().failures, 1);
+    assert_eq!(runner.circuit().topology_refs(), 1);
 }
 
 #[test]
-fn dropping_the_runner_joins_all_workers() {
+fn between_sweeps_only_the_runner_holds_the_circuit() {
     let circuit = inverter_circuit();
     let probe = circuit.clone();
     let runner = ScenarioRunner::new(circuit, 100.0).with_workers(4);
     let _ = runner.run(&seeded_scenarios(8));
-    assert!(probe.topology_refs() > 2);
+    // the probe and the runner's circuit: no worker kept a copy
+    assert_eq!(probe.topology_refs(), 2);
     drop(runner);
-    // only the probe's reference remains: every worker thread exited
     assert_eq!(probe.topology_refs(), 1);
 }
 

@@ -124,21 +124,21 @@ impl<C: OnlineChannel + ?Sized> OnlineChannel for Box<C> {
 }
 
 /// An [`OnlineChannel`] that can live inside a [`Circuit`] and be fanned
-/// out across simulator worker threads: cloneable (so circuits can be
-/// duplicated per worker) and `Send` (so circuits can move between
-/// threads).
+/// out across simulator worker threads: cloneable (so each worker can
+/// copy the circuit), `Send` (so circuits can move between threads) and
+/// `Sync` (so sweep workers can borrow one circuit at the same time).
 ///
 /// Implemented automatically for every `OnlineChannel + Clone + Send +
-/// 'static` type — all channels shipped by this crate qualify; custom
-/// channels only need `#[derive(Clone)]`.
+/// Sync + 'static` type — all channels shipped by this crate qualify;
+/// custom channels only need `#[derive(Clone)]`.
 ///
 /// [`Circuit`]: https://docs.rs/ivl_circuit
-pub trait SimChannel: OnlineChannel + Send {
+pub trait SimChannel: OnlineChannel + Send + Sync {
     /// Clones the channel behind a fresh box (object-safe `Clone`).
     fn clone_box(&self) -> Box<dyn SimChannel>;
 }
 
-impl<C: OnlineChannel + Clone + Send + 'static> SimChannel for C {
+impl<C: OnlineChannel + Clone + Send + Sync + 'static> SimChannel for C {
     fn clone_box(&self) -> Box<dyn SimChannel> {
         Box::new(self.clone())
     }

@@ -426,7 +426,7 @@ impl ChannelFactory for EtaFactory {
     }
 }
 
-fn build_eta<D: DelayPair + Clone + Send + 'static>(
+fn build_eta<D: DelayPair + Clone + Send + Sync + 'static>(
     delay: D,
     bounds: EtaBounds,
     params: &ChannelParams,

@@ -92,7 +92,7 @@ pub struct SpfRun {
     pub events: usize,
 }
 
-impl<D: DelayPair + Clone + Send + 'static> SpfCircuit<D> {
+impl<D: DelayPair + Clone + Send + Sync + 'static> SpfCircuit<D> {
     /// Creates the circuit with an explicit high-threshold buffer.
     #[must_use]
     pub fn new(delay: D, bounds: EtaBounds, buffer: ExpChannel) -> Self {
@@ -187,7 +187,7 @@ impl<D: DelayPair + Clone + Send + 'static> SpfCircuit<D> {
     /// Propagates circuit construction and simulation errors.
     pub fn simulate<N>(&self, noise: N, input: &Signal, horizon: f64) -> Result<SpfRun, Error>
     where
-        N: NoiseSource + Clone + Send + 'static,
+        N: NoiseSource + Clone + Send + Sync + 'static,
     {
         let mut guard = self
             .cache

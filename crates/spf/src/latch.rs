@@ -68,7 +68,7 @@ pub struct LatchRun {
     pub loop_signal: Signal,
 }
 
-impl<D: DelayPair + Clone + Send + 'static> OneShotLatch<D> {
+impl<D: DelayPair + Clone + Send + Sync + 'static> OneShotLatch<D> {
     /// Creates a latch with an explicit high-threshold buffer.
     #[must_use]
     pub fn new(delay: D, bounds: EtaBounds, buffer: ExpChannel) -> Self {
@@ -116,8 +116,8 @@ impl<D: DelayPair + Clone + Send + 'static> OneShotLatch<D> {
         horizon: f64,
     ) -> Result<LatchRun, Error>
     where
-        N1: NoiseSource + Clone + Send + 'static,
-        N2: NoiseSource + Clone + Send + 'static,
+        N1: NoiseSource + Clone + Send + Sync + 'static,
+        N2: NoiseSource + Clone + Send + Sync + 'static,
     {
         if en.len() > 2 || en.initial() == Bit::One {
             return Err(Error::Core(ivl_core::Error::InvalidSampleData {

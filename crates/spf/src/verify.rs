@@ -101,7 +101,7 @@ pub fn verify_spf<D>(
     horizon: f64,
 ) -> Result<SpfReport, Error>
 where
-    D: DelayPair + Clone + Send + 'static,
+    D: DelayPair + Clone + Send + Sync + 'static,
 {
     let mut report = SpfReport {
         f1_well_formed: true, // the Fig. 5 builder has exactly one i and one o

@@ -349,6 +349,7 @@ impl Experiment {
         // the signals each scenario materializes: output ports first
         // (the historical behaviour, so existing results stay
         // byte-identical), then watched non-port nodes in spec order
+        let ports = output_names.len();
         let mut collect_names = output_names;
         for name in &d.outputs.watch {
             if !collect_names.iter().any(|n| n == name) {
@@ -503,7 +504,9 @@ impl Experiment {
                 None => {
                     stats.processed_events += record.processed;
                     stats.scheduled_events += record.scheduled;
-                    for (_, signal) in &record.signals {
+                    // the statistics cover the output ports only, which
+                    // lead every record's signal list
+                    for (_, signal) in record.signals.iter().take(ports) {
                         stats.absorb_signal(signal);
                     }
                     let vcd = if d.outputs.vcd {
@@ -751,7 +754,7 @@ fn run_spf_spec(s: &SpfSpec) -> Result<SpfResult, Error> {
     }
 }
 
-fn run_spf<D: DelayPair + Clone + Send + 'static>(
+fn run_spf<D: DelayPair + Clone + Send + Sync + 'static>(
     delay: D,
     bounds: EtaBounds,
     task: &SpfTask,
@@ -772,7 +775,7 @@ fn run_spf<D: DelayPair + Clone + Send + 'static>(
     Ok(SpfResult { theory, run })
 }
 
-fn simulate_spf<D: DelayPair + Clone + Send + 'static>(
+fn simulate_spf<D: DelayPair + Clone + Send + Sync + 'static>(
     circuit: &SpfCircuit<D>,
     noise: NoiseSpec,
     input: &Signal,
@@ -986,16 +989,18 @@ pub struct QuarantinedScenario {
 pub struct DigitalOutcome {
     /// The scenario's label.
     pub label: String,
-    /// Output-port signals (when selected and the run succeeded).
+    /// Output-port signals, followed by the watched non-port nodes
+    /// (when selected and the run succeeded).
     pub signals: Vec<(String, Signal)>,
-    /// VCD dump of the output ports (when selected).
+    /// VCD dump of the output ports and watched nodes (when selected).
     pub vcd: Option<String>,
     /// The simulation error, if the scenario failed.
     pub error: Option<SimError>,
 }
 
 impl DigitalOutcome {
-    /// The signal recorded on output port `name`, if present.
+    /// The signal recorded on output port or watched node `name`, if
+    /// present.
     #[must_use]
     pub fn signal(&self, name: &str) -> Option<&Signal> {
         self.signals.iter().find(|(n, _)| n == name).map(|(_, s)| s)

@@ -38,6 +38,7 @@
 //!
 //! See `README.md` for a guided tour and `EXPERIMENTS.md` for the
 //! paper-figure reproduction index.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod atomicio;

@@ -116,6 +116,41 @@ fn digital_facade_matches_legacy_runner_bit_identically() {
 }
 
 #[test]
+fn digital_facade_stats_ignore_watched_internal_nodes() {
+    let stages = 4;
+    let scenarios: Vec<Scenario> = (0..4u64)
+        .map(|seed| {
+            Scenario::new(format!("draw{seed}"))
+                .with_input("a", Signal::pulse(1.0, 6.0).unwrap())
+                .with_seed(seed)
+        })
+        .collect();
+    let legacy = ScenarioRunner::new(legacy_chain_circuit(stages), 100.0)
+        .with_workers(2)
+        .run(&scenarios);
+
+    let spec = digital_spec(stages, 4, 2).with_outputs(OutputSelect {
+        signals: true,
+        stats: true,
+        vcd: false,
+        watch: vec!["inv0".into(), "inv1".into()],
+    });
+    let result = Experiment::digital(spec).run().unwrap();
+    let digital = result.digital().unwrap();
+    // the watched nodes are materialized next to the port...
+    for o in &digital.outcomes {
+        assert!(
+            o.signal("inv0").is_some_and(|s| !s.is_empty()),
+            "{}",
+            o.label
+        );
+        assert!(o.signal("inv1").is_some());
+    }
+    // ...but the sweep statistics still cover the output port only
+    assert_eq!(digital.stats.as_ref().unwrap(), legacy.stats());
+}
+
+#[test]
 fn digital_facade_is_deterministic_across_worker_counts() {
     let reference = Experiment::digital(digital_spec(6, 12, 1)).run().unwrap();
     let reference = reference.digital().unwrap();

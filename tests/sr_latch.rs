@@ -13,8 +13,8 @@ use faithful::{Bit, Signal};
 /// channels on the cross-coupling paths. Initial state: Q = 0, Qb = 1.
 fn simulate_sr<N1, N2>(s: &Signal, r: &Signal, n1: N1, n2: N2, horizon: f64) -> (Signal, Signal)
 where
-    N1: NoiseSource + Clone + Send + 'static,
-    N2: NoiseSource + Clone + Send + 'static,
+    N1: NoiseSource + Clone + Send + Sync + 'static,
+    N2: NoiseSource + Clone + Send + Sync + 'static,
 {
     let d = ExpChannel::new(1.0, 0.5, 0.5).unwrap();
     let bounds = EtaBounds::new(0.02, 0.02).unwrap();
