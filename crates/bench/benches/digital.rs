@@ -13,9 +13,10 @@
 //! recording specs/sec and client-observed p50/p99 latency for both,
 //! and a `scale` tier — a 100k-gate involution chain (always, CI smoke
 //! included) and a million-gate 2-D grid (behind `IVL_BENCH_FULL=1`) —
-//! simulated with a single watched output and recorded with build/run
-//! wall time plus peak RSS (`VmHWM`), so memory cost per gate is
-//! tracked across PRs alongside speed.
+//! simulated with a single watched output and recorded with build wall
+//! time, a cold first and a warm second run (wall time and ns/event
+//! each) plus peak RSS (`VmHWM`), so memory cost per gate is tracked
+//! across PRs alongside speed.
 //!
 //! Besides the criterion groups, the harness emits a machine-readable
 //! `BENCH_digital.json` baseline at the workspace root (override the
@@ -565,7 +566,11 @@ struct ScaleResult {
     name: &'static str,
     gates: u64,
     build_secs: f64,
+    /// The first (cold) run: it also grows the simulator's working
+    /// memory.
     run_secs: f64,
+    /// A second run of the same simulator, on warm working memory.
+    warm_run_secs: f64,
     peak_rss_bytes: u64,
     processed_events: usize,
 }
@@ -575,12 +580,18 @@ impl ScaleResult {
     fn rss_per_gate(&self) -> f64 {
         self.peak_rss_bytes as f64 / self.gates as f64
     }
+
+    #[allow(clippy::cast_precision_loss)]
+    fn ns_per_event(&self, secs: f64) -> f64 {
+        secs * 1e9 / self.processed_events.max(1) as f64
+    }
 }
 
-/// Builds, watches and runs one scale workload, recording wall time for
-/// construction and simulation plus the peak RSS across both. Only the
-/// output port is watched — the whole point of the tier is that working
-/// memory tracks the watch set, not the netlist.
+/// Builds, watches and runs one scale workload twice, recording wall
+/// time for construction, the cold first run and the warm second run,
+/// plus the peak RSS across all three. Only the output port is watched
+/// — the whole point of the tier is that working memory tracks the
+/// watch set, not the netlist.
 fn run_scale_workload(
     name: &'static str,
     gates: u64,
@@ -597,6 +608,14 @@ fn run_scale_workload(
     let t0 = Instant::now();
     let run = sim.run(1e9).unwrap();
     let run_secs = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    let warm = sim.run(1e9).unwrap();
+    let warm_run_secs = t0.elapsed().as_secs_f64();
+    assert_eq!(
+        warm.processed_events(),
+        run.processed_events(),
+        "{name}: the warm run must repeat the cold one"
+    );
     assert!(
         run.processed_events() as u64 >= gates,
         "{name}: the workload must exercise every gate at least once \
@@ -609,14 +628,19 @@ fn run_scale_workload(
         gates,
         build_secs,
         run_secs,
+        warm_run_secs,
         peak_rss_bytes: peak_rss_bytes().unwrap_or(0),
         processed_events: run.processed_events(),
     };
     println!(
-        "scale tier {name}: {gates} gates, build {:.2}s, run {:.2}s, \
+        "scale tier {name}: {gates} gates, build {:.2}s, cold run {:.2}s \
+         ({:.0} ns/event), warm run {:.2}s ({:.0} ns/event), \
          {} events, peak RSS {:.1} MiB ({:.0} B/gate)",
         result.build_secs,
         result.run_secs,
+        result.ns_per_event(result.run_secs),
+        result.warm_run_secs,
+        result.ns_per_event(result.warm_run_secs),
         result.processed_events,
         result.peak_rss_bytes as f64 / (1024.0 * 1024.0),
         result.rss_per_gate(),
@@ -907,7 +931,9 @@ fn emit_baseline(test_mode: bool) {
         let comma = if i + 1 < scale.len() { "," } else { "" };
         json.push_str(&format!(
             "    \"{}\": {{ \"gates\": {}, \"build_secs\": {:.3}, \"run_secs\": {:.3}, \
-             \"processed_events\": {}, \"peak_rss_bytes\": {}, \"rss_per_gate\": {:.1} }}{comma}\n",
+             \"processed_events\": {}, \"peak_rss_bytes\": {}, \"rss_per_gate\": {:.1}, \
+             \"warm_run_secs\": {:.3}, \"cold_ns_per_event\": {:.1}, \
+             \"warm_ns_per_event\": {:.1} }}{comma}\n",
             r.name,
             r.gates,
             r.build_secs,
@@ -915,6 +941,9 @@ fn emit_baseline(test_mode: bool) {
             r.processed_events,
             r.peak_rss_bytes,
             r.rss_per_gate(),
+            r.warm_run_secs,
+            r.ns_per_event(r.run_secs),
+            r.ns_per_event(r.warm_run_secs),
         ));
     }
     json.push_str("  },\n");
@@ -987,26 +1016,34 @@ fn emit_baseline(test_mode: bool) {
 }
 
 /// Interleaved best-of-9 of heap vs challenger runs on a pair of
-/// already-warmed simulators: alternating the backends within each
-/// round means a scheduler hiccup on a shared CI runner hits both
-/// sides, not one, and taking each side's *minimum* discards the
-/// hiccups entirely — preemption only ever adds time, so the min is
-/// the least-noisy estimate of true cost a shared runner can produce.
+/// already-warmed simulators: both sides run in every round, and which
+/// side goes first alternates between rounds, so a scheduler hiccup on
+/// a shared CI runner — or a cache warmed by the previous side — hits
+/// both sides alike. Taking each side's *minimum* discards the hiccups
+/// entirely — preemption only ever adds time, so the min is the
+/// least-noisy estimate of true cost a shared runner can produce.
 fn measure_speedup(sims: &mut [Simulator; 2]) -> f64 {
-    // Size each timed sample to span >= 25 ms: a sub-millisecond run is
-    // dominated by timer granularity and single preemption spikes, which
-    // is exactly the noise a 2% gate threshold cannot tolerate.
-    let t0 = Instant::now();
-    sims[0].run(1e9).unwrap();
-    let single = t0.elapsed().as_secs_f64();
+    // Size each timed sample to span >= 25 ms on the faster side: a
+    // sub-millisecond run is dominated by timer granularity and single
+    // preemption spikes, which is exactly the noise a 2% gate threshold
+    // cannot tolerate. Both sides get the same sizing run.
+    let single = sims
+        .iter_mut()
+        .map(|sim| {
+            let t0 = Instant::now();
+            sim.run(1e9).unwrap();
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let reps = ((0.025 / single.max(1e-9)).ceil() as usize).clamp(1, 64);
     let mut best = [f64::INFINITY, f64::INFINITY];
-    for _ in 0..9 {
-        for (i, sim) in sims.iter_mut().enumerate() {
+    for round in 0..9 {
+        let order = if round % 2 == 0 { [0, 1] } else { [1, 0] };
+        for i in order {
             let t0 = Instant::now();
             for _ in 0..reps {
-                sim.run(1e9).unwrap();
+                sims[i].run(1e9).unwrap();
             }
             best[i] = best[i].min(t0.elapsed().as_secs_f64());
         }

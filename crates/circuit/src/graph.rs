@@ -9,7 +9,7 @@
 //! than millions of small ones, and a clone-free `Arc` share between
 //! sweep workers stays cache-friendly.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -156,23 +156,28 @@ enum Connection {
 /// output port is driven by exactly one connection, and gates and
 /// channels alternate.
 ///
-/// Validation is incremental and scale-friendly: double driving is
-/// caught at connect time through an O(1) driven-pin set, and the
-/// final unconnected-pin sweep is a single O(nodes + edges) pass —
-/// no quadratic rescans, so million-gate netlists build in linear time.
+/// Validation is incremental and scale-friendly: the builder keeps the
+/// flattened-pin offsets as nodes are added, so double driving is caught
+/// at connect time by one flag per pin, and the final unconnected-pin
+/// sweep reads those flags in a single O(pins) pass — no hashing and no
+/// quadratic rescans, so million-gate netlists build in linear time.
 pub struct CircuitBuilder {
     node_names: Vec<String>,
     node_tags: Vec<NodeTag>,
     gate_kinds: Vec<GateKind>,
     node_arity: Vec<u32>,
     node_initial: Vec<Bit>,
+    /// Flattened-pin CSR offsets, one past the node count: node `n`'s
+    /// pins are `pin_start[n]..pin_start[n + 1]`.
+    pin_start: Vec<u32>,
     edge_from: Vec<u32>,
     edge_to: Vec<u32>,
     edge_pin: Vec<u32>,
     conns: Vec<Connection>,
     names: HashMap<String, NodeId>,
-    /// `(to, pin)` pairs already driven — O(1) double-driver checks.
-    driven: HashSet<(u32, u32)>,
+    /// Driven flag per flattened pin, grown on demand up to the highest
+    /// driven pin (a missing entry is an undriven pin).
+    driven: Vec<bool>,
     deferred_error: Option<CircuitError>,
 }
 
@@ -186,12 +191,13 @@ impl CircuitBuilder {
             gate_kinds: Vec::new(),
             node_arity: Vec::new(),
             node_initial: Vec::new(),
+            pin_start: vec![0],
             edge_from: Vec::new(),
             edge_to: Vec::new(),
             edge_pin: Vec::new(),
             conns: Vec::new(),
             names: HashMap::new(),
-            driven: HashSet::new(),
+            driven: Vec::new(),
             deferred_error: None,
         }
     }
@@ -205,6 +211,9 @@ impl CircuitBuilder {
         initial: Bit,
     ) -> NodeId {
         let id = NodeId(u32::try_from(self.node_tags.len()).expect("more than u32::MAX nodes"));
+        let pins = self.pin_start[id.index()]
+            .checked_add(arity)
+            .expect("more than u32::MAX input pins");
         if self.names.insert(name.to_owned(), id).is_some() && self.deferred_error.is_none() {
             self.deferred_error = Some(CircuitError::DuplicateName {
                 name: name.to_owned(),
@@ -215,7 +224,13 @@ impl CircuitBuilder {
         self.gate_kinds.push(gate_kind);
         self.node_arity.push(arity);
         self.node_initial.push(initial);
+        self.pin_start.push(pins);
         id
+    }
+
+    /// Index of pin `pin` of `to` in the flattened pin array.
+    fn pin_index(&self, to: NodeId, pin: u32) -> usize {
+        (self.pin_start[to.index()] + pin) as usize
     }
 
     /// Adds an input port.
@@ -282,7 +297,7 @@ impl CircuitBuilder {
             });
         }
         #[allow(clippy::cast_possible_truncation)]
-        if self.driven.contains(&(to.0, pin as u32)) {
+        if self.driven.get(self.pin_index(to, pin as u32)) == Some(&true) {
             return Err(CircuitError::PinAlreadyDriven {
                 node: self.node_names[to.index()].clone(),
                 pin,
@@ -297,7 +312,11 @@ impl CircuitBuilder {
         self.edge_from.push(from.0);
         self.edge_to.push(to.0);
         self.edge_pin.push(pin as u32);
-        self.driven.insert((to.0, pin as u32));
+        let idx = self.pin_index(to, pin as u32);
+        if idx >= self.driven.len() {
+            self.driven.resize(idx + 1, false);
+        }
+        self.driven[idx] = true;
         self.conns.push(conn);
         id
     }
@@ -385,25 +404,13 @@ impl CircuitBuilder {
             return Err(err);
         }
         let n = self.node_tags.len();
-        // flattened-pin CSR offsets (inputs contribute 0 pins)
-        let mut pin_start = Vec::with_capacity(n + 1);
-        pin_start.push(0u32);
-        let mut total = 0u32;
-        for &a in &self.node_arity {
-            total = total.checked_add(a).expect("more than u32::MAX input pins");
-            pin_start.push(total);
-        }
         // every gate pin and output port must be driven (exactly once —
-        // double driving was rejected at connect time): one linear mark
-        // pass over the edges, one linear sweep over the pins
-        let mut pin_driven = vec![false; total as usize];
-        for (i, &to) in self.edge_to.iter().enumerate() {
-            pin_driven[(pin_start[to as usize] + self.edge_pin[i]) as usize] = true;
-        }
+        // double driving was rejected at connect time): one linear sweep
+        // over the pins
         for (node, &arity) in self.node_arity.iter().enumerate() {
-            let base = pin_start[node];
+            let base = self.pin_start[node];
             for pin in 0..arity {
-                if !pin_driven[(base + pin) as usize] {
+                if self.driven.get((base + pin) as usize) != Some(&true) {
                     return Err(CircuitError::UnconnectedPin {
                         node: self.node_names[node].clone(),
                         pin: pin as usize,
@@ -442,7 +449,7 @@ impl CircuitBuilder {
                 gate_kinds: self.gate_kinds,
                 node_arity: self.node_arity,
                 node_initial: self.node_initial,
-                pin_start,
+                pin_start: self.pin_start,
                 edge_from: self.edge_from,
                 edge_to: self.edge_to,
                 edge_pin: self.edge_pin,

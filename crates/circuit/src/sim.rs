@@ -9,6 +9,14 @@
 //! cancelled, or reused slot) is detected by generation mismatch instead
 //! of silently corrupting the waveform.
 //!
+//! Each edge's pending events form a stack, newest on top, because the
+//! channels cancel pairwise from the newest end. The stack is a chain
+//! through the pool itself: a flat per-edge array holds the newest
+//! pending event, and every slot links back to the edge's previous one.
+//! Delivery leaves the chain alone — the generation bump makes the
+//! delivered link stale, and a cancellation that reaches it fails. So an
+//! edge costs one `EventId` of working memory, never a heap allocation.
+//!
 //! All per-run working memory (pin values, recorders, the pool, the
 //! event queue, the dirty set) is owned by a [`SimState`] that the
 //! [`Simulator`] reuses across [`run`](Simulator::run) calls: after the
@@ -33,7 +41,7 @@
 //! `(time, seq)` order — so the Auto choice never changes results —
 //! see the [`queue`](crate::queue) module docs.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -49,7 +57,7 @@ use crate::queue::{CalendarConfig, EventKey, EventQueue, QueueBackend, QueueImpl
 ///
 /// The generation makes dangling references detectable: once a slot is
 /// released (its event delivered or cancelled) its generation is bumped,
-/// and any heap key or pending-queue entry still holding the old
+/// and any queue key or pending-chain link still holding the old
 /// generation no longer resolves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct EventId {
@@ -59,7 +67,8 @@ pub(crate) struct EventId {
 
 impl EventId {
     /// A handle that resolves to no slot; used where an [`EventKey`]
-    /// needs a placeholder id (ordering never inspects the id).
+    /// needs a placeholder id (ordering never inspects the id), and as
+    /// the end of an edge's pending chain.
     pub(crate) const TOMBSTONE: EventId = EventId {
         slot: u32::MAX,
         gen: u32::MAX,
@@ -76,6 +85,10 @@ struct Slot {
     /// The schedule sequence number of the resident event — lets a
     /// cancellation identify the exact queue key to discard eagerly.
     seq: u64,
+    /// The edge's previous pending event when this one was scheduled
+    /// ([`EventId::TOMBSTONE`] if none); stale once that event is
+    /// delivered.
+    prev: EventId,
 }
 
 /// Slab event pool with a free list. Slots are recycled, so a run's
@@ -93,7 +106,7 @@ impl EventPool {
         self.free.clear();
     }
 
-    fn alloc(&mut self, time: f64, edge: usize, value: Bit, seq: u64) -> EventId {
+    fn alloc(&mut self, time: f64, edge: usize, value: Bit, seq: u64, prev: EventId) -> EventId {
         if let Some(slot) = self.free.pop() {
             let s = &mut self.slots[slot as usize];
             s.live = true;
@@ -101,6 +114,7 @@ impl EventPool {
             s.value = value;
             s.edge = edge as u32;
             s.seq = seq;
+            s.prev = prev;
             EventId { slot, gen: s.gen }
         } else {
             let slot = u32::try_from(self.slots.len()).expect("event pool exceeds u32 slots");
@@ -111,6 +125,7 @@ impl EventPool {
                 value,
                 edge: edge as u32,
                 seq,
+                prev,
             });
             EventId { slot, gen: 0 }
         }
@@ -191,7 +206,9 @@ struct SimState {
     dropped: usize,
     pool: EventPool,
     queue: QueueImpl,
-    edge_pending: Vec<VecDeque<EventId>>,
+    /// Newest pending event per edge ([`EventId::TOMBSTONE`] if none);
+    /// older ones are reached through [`Slot::prev`].
+    edge_pending: Vec<EventId>,
     dirty: Vec<usize>,
     dirty_scratch: Vec<usize>,
     dirty_flag: Vec<bool>,
@@ -277,10 +294,8 @@ impl SimState {
 
         self.pool.clear();
         self.queue.ensure(backend, calendar);
-        self.edge_pending.resize_with(n_edges, VecDeque::new);
-        for q in &mut self.edge_pending {
-            q.clear();
-        }
+        self.edge_pending.clear();
+        self.edge_pending.resize(n_edges, EventId::TOMBSTONE);
 
         self.dirty.clear();
         self.dirty_scratch.clear();
@@ -295,12 +310,13 @@ impl SimState {
     }
 }
 
-/// Scheduling front-end over the pool/queue/pending queues; split out of
-/// `run` so the borrow checker sees disjoint state.
+/// Scheduling front-end over the pool, the queue and the per-edge
+/// pending chains; split out of `run` so the borrow checker sees
+/// disjoint state.
 struct Queue<'a> {
     pool: &'a mut EventPool,
     queue: &'a mut QueueImpl,
-    edge_pending: &'a mut [VecDeque<EventId>],
+    edge_pending: &'a mut [EventId],
     seq: u64,
     scheduled: usize,
     max_events: usize,
@@ -318,14 +334,16 @@ impl Queue<'_> {
                 time: tr.time,
             });
         }
-        let id = self.pool.alloc(tr.time, edge, tr.value, self.seq);
+        let id = self
+            .pool
+            .alloc(tr.time, edge, tr.value, self.seq, self.edge_pending[edge]);
         self.queue.push(EventKey {
             time: tr.time,
             seq: self.seq,
             id,
         });
         self.seq += 1;
-        self.edge_pending[edge].push_back(id);
+        self.edge_pending[edge] = id;
         Ok(())
     }
 
@@ -343,16 +361,11 @@ impl Queue<'_> {
                 self.schedule(edge, tr)
             }
             FeedEffect::CancelledPair { cancelled } => {
-                let Some(id) = self.edge_pending[edge].pop_back() else {
-                    return Err(SimError::CancellationMismatch {
-                        edge,
-                        pending: None,
-                        cancelled: cancelled.time,
-                    });
-                };
-                // generation mismatch ⇒ the event was already delivered
-                // (or cancelled): refusing here is what keeps a
-                // misbehaving channel from corrupting the waveform.
+                let id = self.edge_pending[edge];
+                // tombstone ⇒ the chain is empty; generation
+                // mismatch ⇒ the event was already delivered (or
+                // cancelled): refusing here is what keeps a misbehaving
+                // channel from corrupting the waveform.
                 let Some(slot) = self.pool.get(id) else {
                     return Err(SimError::CancellationMismatch {
                         edge,
@@ -368,6 +381,7 @@ impl Queue<'_> {
                     });
                 }
                 let (time, seq) = (slot.time, slot.seq);
+                self.edge_pending[edge] = slot.prev;
                 self.pool.release(id);
                 // eager removal from the queue (the calendar backend
                 // does; the heap falls back to lazy stale filtering)
@@ -868,9 +882,8 @@ impl Simulator {
                 let Some((time, value, edge_idx)) = queue.pool.take(key.id) else {
                     continue;
                 };
-                if queue.edge_pending[edge_idx].front() == Some(&key.id) {
-                    queue.edge_pending[edge_idx].pop_front();
-                }
+                // the edge's pending chain needs no update: this was its
+                // oldest live link, and the release made it stale
                 processed += 1;
                 if let Some(ch) = &mut channels[edge_idx] {
                     ch.discard_delivered(time);

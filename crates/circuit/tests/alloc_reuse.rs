@@ -1,8 +1,10 @@
 //! Allocation behaviour of the reused simulator state: after a warmup
 //! run, repeated runs on a ≥1k-gate inverter chain must hit an
-//! allocation steady state — the event pool, heap, pending queues and
+//! allocation steady state — the event pool (which also links each
+//! edge's pending events), the queue, the per-edge chain heads and the
 //! recorders are all recycled, so the only per-run allocations are the
-//! exact-sized signal copies in the returned `SimResult`.
+//! exact-sized signal copies in the returned `SimResult`. The first
+//! run's allocations are pinned separately, in `cold_alloc.rs`.
 //!
 //! Keep this file to a single test: the counting allocator is global.
 

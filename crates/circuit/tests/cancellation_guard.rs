@@ -150,3 +150,54 @@ fn well_behaved_cancellation_still_works() {
     assert!(run.signal("y").unwrap().is_zero());
     assert!(run.scheduled_events() > run.processed_events());
 }
+
+#[test]
+fn cancellation_reaching_past_a_delivered_event_is_a_hard_error() {
+    /// Delays every transition by 2 and cancels from its own stack of
+    /// scheduled outputs, but never forgets the delivered ones: the
+    /// fourth feed tries to cancel an output the simulator delivered at
+    /// t = 2.
+    #[derive(Debug, Clone, Default)]
+    struct Unforgetful {
+        fed: usize,
+        scheduled: Vec<Transition>,
+    }
+    impl OnlineChannel for Unforgetful {
+        fn feed(&mut self, input: Transition) -> FeedEffect {
+            self.fed += 1;
+            if self.fed <= 2 {
+                let tr = Transition::new(input.time + 2.0, input.value);
+                self.scheduled.push(tr);
+                FeedEffect::Scheduled(tr)
+            } else {
+                FeedEffect::CancelledPair {
+                    cancelled: self.scheduled.pop().expect("two outputs were scheduled"),
+                }
+            }
+        }
+        fn reset(&mut self) {
+            *self = Unforgetful::default();
+        }
+    }
+
+    let mut b = CircuitBuilder::new();
+    let a = b.input("a");
+    let g = b.gate("buf", GateKind::Buf, Bit::Zero);
+    let y = b.output("y");
+    b.connect_direct(a, g, 0).unwrap();
+    b.connect(g, y, 0, Unforgetful::default()).unwrap();
+    let mut sim = Simulator::new(b.build().unwrap());
+    // rise at 0 → output at 2, delivered; fall at 3 → output at 5; the
+    // rise at 4 cancels the pending fall at 5 (legitimately); the fall
+    // at 4.5 reaches back to the delivered rise at 2, whose exact time
+    // and value the channel still holds
+    sim.set_input(
+        "a",
+        Signal::from_times(Bit::Zero, &[0.0, 3.0, 4.0, 4.5]).unwrap(),
+    )
+    .unwrap();
+    assert!(matches!(
+        sim.run(100.0),
+        Err(SimError::CancellationMismatch { pending: None, .. })
+    ));
+}

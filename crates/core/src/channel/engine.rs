@@ -3,6 +3,7 @@
 
 use std::collections::VecDeque;
 
+use crate::bit::Bit;
 use crate::channel::FeedEffect;
 use crate::signal::Transition;
 
@@ -28,12 +29,124 @@ impl CancelRule {
     }
 }
 
+/// Outputs a channel keeps inline before its history spills to the
+/// heap. Two cover a channel with at most two outputs in flight; only
+/// deeper histories — η cancellation cascades, or input pulses shorter
+/// than the channel delay — allocate. Every channel pays for the ring,
+/// so a larger one costs memory on every edge of a large netlist.
+const INLINE: usize = 2;
+
+/// The retained-output stack in increasing time order: an inline ring of
+/// up to [`INLINE`] entries, spilling into a `VecDeque` only while more
+/// are pending. While spilled, `spill` holds every entry and the ring is
+/// empty; once pops bring it back to [`INLINE`] entries they return to
+/// the ring (the deque keeps its buffer for the next cascade).
+#[derive(Debug, Clone)]
+struct Retained {
+    ring: [Transition; INLINE],
+    /// Ring index of the oldest inline entry. This and `len` are bytes
+    /// so that a channel fits a smaller allocation.
+    head: u8,
+    /// Number of inline entries (0 while spilled).
+    len: u8,
+    spill: VecDeque<Transition>,
+}
+
+impl Retained {
+    fn new() -> Self {
+        Retained {
+            ring: [Transition::new(0.0, Bit::Zero); INLINE],
+            head: 0,
+            len: 0,
+            spill: VecDeque::new(),
+        }
+    }
+
+    /// Ring index of the `i`-th oldest inline entry.
+    fn slot(&self, i: usize) -> usize {
+        (usize::from(self.head) + i) % INLINE
+    }
+
+    fn front(&self) -> Option<Transition> {
+        if !self.spill.is_empty() {
+            return self.spill.front().copied();
+        }
+        (self.len > 0).then(|| self.ring[self.slot(0)])
+    }
+
+    fn back(&self) -> Option<Transition> {
+        if !self.spill.is_empty() {
+            return self.spill.back().copied();
+        }
+        (self.len > 0).then(|| self.ring[self.slot(usize::from(self.len) - 1)])
+    }
+
+    fn push_back(&mut self, tr: Transition) {
+        if self.spill.is_empty() {
+            let len = usize::from(self.len);
+            if len < INLINE {
+                let i = self.slot(len);
+                self.ring[i] = tr;
+                self.len += 1;
+                return;
+            }
+            for i in 0..INLINE {
+                self.spill.push_back(self.ring[self.slot(i)]);
+            }
+            self.len = 0;
+        }
+        self.spill.push_back(tr);
+    }
+
+    fn pop_back(&mut self) -> Option<Transition> {
+        if !self.spill.is_empty() {
+            let tr = self.spill.pop_back();
+            self.unspill();
+            return tr;
+        }
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        Some(self.ring[self.slot(usize::from(self.len))])
+    }
+
+    fn pop_front(&mut self) {
+        if !self.spill.is_empty() {
+            self.spill.pop_front();
+            self.unspill();
+        } else if self.len > 0 {
+            self.head = self.slot(1) as u8;
+            self.len -= 1;
+        }
+    }
+
+    /// Moves a spilled history that fits back into the ring.
+    fn unspill(&mut self) {
+        if self.spill.len() <= INLINE {
+            self.head = 0;
+            self.len = self.spill.len() as u8;
+            for (slot, tr) in self.ring.iter_mut().zip(self.spill.drain(..)) {
+                *slot = tr;
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.head = 0;
+        self.len = 0;
+        self.spill.clear();
+    }
+}
+
 /// Single-history channel state machine.
 ///
 /// Tracks `(t_{n−1}, δ_{n−1})` for the offset recursion and the stack of
 /// retained (scheduled, not cancelled) output transitions for pairwise
 /// cancellation. Concrete channels compute the delay `δ_n` and delegate
-/// everything else here.
+/// everything else here. The stack lives inline in the channel (see
+/// [`Retained`]), so feeding a channel allocates nothing unless a
+/// cancellation cascade keeps more than two outputs pending.
 #[derive(Debug, Clone)]
 pub(crate) struct EngineCore {
     rule: CancelRule,
@@ -42,7 +155,7 @@ pub(crate) struct EngineCore {
     count: usize,
     /// Retained outputs in increasing time order; cancellation pops from
     /// the back, delivery bookkeeping drops from the front.
-    retained: VecDeque<Transition>,
+    retained: Retained,
 }
 
 impl EngineCore {
@@ -52,7 +165,7 @@ impl EngineCore {
             t_prev: f64::NEG_INFINITY,
             d_prev: 0.0,
             count: 0,
-            retained: VecDeque::new(),
+            retained: Retained::new(),
         }
     }
 
@@ -83,7 +196,8 @@ impl EngineCore {
         self.d_prev = delay;
         self.count += 1;
         let on = input.time + delay;
-        let cancels = match self.retained.back() {
+        let last = self.retained.back();
+        let cancels = match last {
             Some(last) => self.rule.cancels(last.time, on),
             None => on == f64::NEG_INFINITY,
         };
@@ -93,7 +207,7 @@ impl EngineCore {
                 None => FeedEffect::Dropped,
             }
         } else {
-            if let Some(last) = self.retained.back() {
+            if let Some(last) = last {
                 debug_assert_ne!(
                     last.value, input.value,
                     "pairwise cancellation must preserve alternation"
@@ -124,7 +238,7 @@ impl EngineCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bit::Bit;
+    use proptest::prelude::*;
 
     fn tr(t: f64, v: u8) -> Transition {
         Transition::new(t, if v == 1 { Bit::One } else { Bit::Zero })
@@ -237,6 +351,118 @@ mod tests {
         e.reset();
         assert_eq!(e.count(), 0);
         assert_eq!(e.offset(3.0), f64::INFINITY);
+    }
+
+    #[test]
+    fn retained_spills_past_the_ring_and_returns_inline() {
+        let mut e = EngineCore::new(CancelRule::NonFifo);
+        // four increasing outputs: the third and fourth spill
+        for (k, d) in [1.0, 2.0, 3.0, 4.0].into_iter().enumerate() {
+            let t = k as f64 * 0.1;
+            assert!(matches!(
+                e.feed(tr(t, (k % 2) as u8), d),
+                FeedEffect::Scheduled(_)
+            ));
+        }
+        assert_eq!(e.retained.spill.len(), 4);
+        assert_eq!(e.retained.len, 0);
+        // a cascade cancels from the top; at two pending the history is
+        // inline again, with the oldest outputs in order
+        let mut t = 0.4;
+        for (expect, v) in [(4.3, 0), (3.2, 1)] {
+            let effect = e.feed(tr(t, v), 0.0);
+            assert!(matches!(
+                effect,
+                FeedEffect::CancelledPair { cancelled } if cancelled.time == expect
+            ));
+            t += 0.1;
+        }
+        assert!(e.retained.spill.is_empty());
+        assert_eq!(e.retained.len, 2);
+        assert_eq!(e.retained.front(), Some(tr(1.0, 0)));
+        assert_eq!(e.retained.back(), Some(tr(2.1, 1)));
+        e.discard_delivered(1.0);
+        assert_eq!(e.retained.front(), Some(tr(2.1, 1)));
+        e.reset();
+        assert_eq!(e.retained.back(), None);
+    }
+
+    /// Reference model for the engine's history: the same feed and
+    /// discard rules over a plain `Vec` stack.
+    struct VecModel {
+        rule: CancelRule,
+        stack: Vec<Transition>,
+    }
+
+    impl VecModel {
+        fn feed(&mut self, input: Transition, delay: f64) -> FeedEffect {
+            let on = input.time + delay;
+            let cancels = match self.stack.last() {
+                Some(last) => self.rule.cancels(last.time, on),
+                None => on == f64::NEG_INFINITY,
+            };
+            if cancels {
+                self.stack.pop().map_or(FeedEffect::Dropped, |cancelled| {
+                    FeedEffect::CancelledPair { cancelled }
+                })
+            } else {
+                let tr = Transition::new(on, input.value);
+                self.stack.push(tr);
+                FeedEffect::Scheduled(tr)
+            }
+        }
+
+        fn discard_delivered(&mut self, before: f64) {
+            let n = self.stack.iter().take_while(|tr| tr.time <= before).count();
+            self.stack.drain(..n);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Each op is `(kind, gap, delay, lag)`: kind 0 discards outputs
+        /// up to `lag` before the latest input, kind 1 feeds with the
+        /// domain-guard delay `−∞`, every other kind feeds with `delay`.
+        /// Delays up to 6 against gaps under 1 stack several outputs
+        /// before a short delay cancels them one by one, so cascades
+        /// deeper than the inline ring are common.
+        #[test]
+        fn history_matches_a_vec_stack(
+            ops in proptest::collection::vec(
+                (0u8..8, 0.05f64..1.0, 0.0f64..6.0, 0.0f64..3.0),
+                1..160,
+            ),
+            inertial in 0u8..2,
+        ) {
+            let rule = if inertial == 1 {
+                CancelRule::MinSeparation(0.5)
+            } else {
+                CancelRule::NonFifo
+            };
+            let mut engine = EngineCore::new(rule);
+            let mut model = VecModel { rule, stack: Vec::new() };
+            let mut t = 0.0;
+            let mut value = 0u8;
+            for (i, &(kind, gap, delay, lag)) in ops.iter().enumerate() {
+                if kind == 0 {
+                    engine.discard_delivered(t - lag);
+                    model.discard_delivered(t - lag);
+                } else {
+                    t += gap;
+                    value ^= 1;
+                    let delay = if kind == 1 { f64::NEG_INFINITY } else { delay };
+                    let got = engine.feed(tr(t, value), delay);
+                    prop_assert_eq!(got, model.feed(tr(t, value), delay), "op {}", i);
+                }
+                prop_assert_eq!(engine.retained.front(), model.stack.first().copied());
+                prop_assert_eq!(engine.retained.back(), model.stack.last().copied());
+                prop_assert_eq!(
+                    engine.retained.spill.is_empty(),
+                    model.stack.len() <= INLINE,
+                    "op {}: spilled iff more than {} pending", i, INLINE
+                );
+            }
+        }
     }
 
     #[test]
