@@ -24,10 +24,11 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use ivl_core::{Bit, Signal};
+use ivl_core::Signal;
 
 use crate::error::{CheckpointError, SpecError};
-use crate::spec::{as_f64, Fields};
+use crate::service::wire::{signal_from_value, signal_value};
+use crate::spec::Fields;
 use crate::value::{parse_document, render_document, Value};
 
 /// Version tag of the checkpoint sidecar schema (inside the `faithful/1`
@@ -43,7 +44,9 @@ pub(crate) struct DoneScenario {
     pub(crate) signals: Vec<(String, Signal)>,
 }
 
-/// The persisted state of a partially completed sweep.
+/// The persisted state of a partially completed sweep; the facade also
+/// keeps its in-flight sweep in this form, so what it persists is what
+/// it assembles the result from.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CheckpointState {
     /// The experiment spec, embedded verbatim.
@@ -58,26 +61,6 @@ pub(crate) struct CheckpointState {
 
 fn field(name: &str, value: Value) -> (String, Value) {
     (name.to_owned(), value)
-}
-
-fn signal_to_value(name: &str, signal: &Signal) -> Value {
-    Value::node(
-        "sig",
-        vec![
-            field("name", Value::str(name)),
-            field("initial", Value::bool(signal.initial() == Bit::One)),
-            field(
-                "times",
-                Value::list(
-                    signal
-                        .transitions()
-                        .iter()
-                        .map(|t| Value::num(t.time))
-                        .collect(),
-                ),
-            ),
-        ],
-    )
 }
 
 /// Renders the checkpoint as a versioned `faithful/1` document.
@@ -98,7 +81,7 @@ pub(crate) fn render(state: &CheckpointState) -> String {
                         Value::list(
                             d.signals
                                 .iter()
-                                .map(|(n, s)| signal_to_value(n, s))
+                                .map(|(n, s)| signal_value(Some(n), s))
                                 .collect(),
                         ),
                     ),
@@ -155,25 +138,8 @@ pub(crate) fn parse(text: &str) -> Result<CheckpointState, CheckpointError> {
         let scheduled = df.u64("scheduled").map_err(from_spec_err)?;
         let mut signals = Vec::new();
         for sv in df.list("signals").map_err(from_spec_err)? {
-            let mut sf = Fields::of(sv, "sig").map_err(from_spec_err)?;
-            sf.expect_tag(&["sig"]).map_err(from_spec_err)?;
-            let name = sf.string("name").map_err(from_spec_err)?;
-            let initial = if sf.bool("initial").map_err(from_spec_err)? {
-                Bit::One
-            } else {
-                Bit::Zero
-            };
-            let times = sf
-                .list("times")
-                .map_err(from_spec_err)?
-                .iter()
-                .map(|v| as_f64(v, "sig", "times"))
-                .collect::<Result<Vec<f64>, _>>()
-                .map_err(from_spec_err)?;
-            sf.finish().map_err(from_spec_err)?;
-            let signal = Signal::from_times(initial, &times).map_err(|e| {
-                CheckpointError::new(format!("invalid persisted signal {name:?}: {e}"))
-            })?;
+            let (name, signal) = signal_from_value(sv).map_err(from_spec_err)?;
+            let name = name.ok_or_else(|| CheckpointError::new("sig: missing field \"name\""))?;
             signals.push((name, signal));
         }
         df.finish().map_err(from_spec_err)?;
@@ -224,6 +190,7 @@ pub(crate) fn write_atomic(path: &Path, state: &CheckpointState) -> Result<(), C
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ivl_core::Bit;
 
     fn sample_state() -> CheckpointState {
         let mut done = BTreeMap::new();

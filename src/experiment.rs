@@ -356,11 +356,10 @@ impl Experiment {
                 collect_names.push(name.clone());
             }
         }
-        let mut runner =
-            ScenarioRunner::new(circuit, d.horizon).with_failure_policy(d.on_failure.to_policy());
-        if !d.outputs.watch.is_empty() {
-            runner = runner.with_watch(&d.outputs.watch).map_err(Error::Sim)?;
-        }
+        let mut runner = ScenarioRunner::new(circuit, d.horizon)
+            .with_failure_policy(d.on_failure.to_policy())
+            .with_watch(&d.outputs.watch)
+            .map_err(Error::Sim)?;
         if let Some(w) = d.workers {
             runner = runner.with_workers(w as usize);
         }
@@ -375,33 +374,33 @@ impl Experiment {
             .clone()
             .or_else(|| fault_plan_from_env(d.scenarios.len()));
 
+        // the sweep's only record of completed scenarios is the state a
+        // checkpoint persists, seeded from the resume sidecar if any
         let total = d.scenarios.len();
-        let mut records: Vec<Option<ScenarioRecord>> = Vec::new();
-        records.resize_with(total, || None);
-        let mut retried: u64 = 0;
-
-        // seed already-completed scenarios from a resume checkpoint
-        if let Some(state) = &self.resume {
-            if state.total != total {
+        let mut state = checkpoint::CheckpointState {
+            // rendered once, and only when there is a sidecar to write
+            spec_text: if self.checkpoint.is_some() {
+                self.spec.to_string()
+            } else {
+                String::new()
+            },
+            total,
+            retried: 0,
+            done: BTreeMap::new(),
+        };
+        if let Some(resumed) = &self.resume {
+            if resumed.total != total {
                 return Err(Error::Checkpoint(CheckpointError::new(format!(
                     "checkpoint covers {} scenarios but the spec has {total}",
-                    state.total
+                    resumed.total
                 ))));
             }
-            retried = state.retried;
-            for (&index, done) in &state.done {
-                records[index] = Some(ScenarioRecord {
-                    label: done.label.clone(),
-                    signals: done.signals.clone(),
-                    processed: done.processed,
-                    scheduled: done.scheduled,
-                    error: None,
-                    retries: 0,
-                });
-            }
+            state.retried = resumed.retried;
+            state.done = resumed.done.clone();
         }
+        let mut failures: Vec<ScenarioFailure> = Vec::new();
 
-        let pending: Vec<usize> = (0..total).filter(|&i| records[i].is_none()).collect();
+        let pending: Vec<usize> = (0..total).filter(|i| !state.done.contains_key(i)).collect();
         // without a checkpoint sidecar there is nothing to persist
         // between batches, so run everything in one sweep
         let batch_size = if self.checkpoint.is_some() {
@@ -442,163 +441,102 @@ impl Experiment {
                     // from here (the aborted batch itself re-runs)
                     aborted.failure.index = batch[aborted.failure.index];
                     if let Some(path) = &self.checkpoint {
-                        self.write_checkpoint(path, total, retried, &records)?;
+                        checkpoint::write_atomic(path, &state)?;
                     }
                     return Err(Error::Sweep(aborted));
                 }
             };
-            retried += sweep.stats().retried;
-            for (pos, outcome) in sweep.outcomes().iter().enumerate() {
-                let record = match outcome.result() {
-                    Ok(run) => {
-                        let mut signals = Vec::with_capacity(collect_names.len());
-                        for name in &collect_names {
-                            signals.push((name.clone(), run.signal(name)?.clone()));
-                        }
-                        ScenarioRecord {
-                            label: outcome.label().to_owned(),
-                            signals,
-                            processed: run.processed_events() as u64,
-                            scheduled: run.scheduled_events() as u64,
-                            error: None,
-                            retries: 0,
-                        }
-                    }
-                    Err(e) => {
-                        let retries = sweep
-                            .failures()
-                            .iter()
-                            .find(|f| f.index == pos)
-                            .map_or(0, |f| f.retries);
-                        ScenarioRecord {
-                            label: outcome.label().to_owned(),
-                            signals: Vec::new(),
-                            processed: 0,
-                            scheduled: 0,
-                            error: Some(e.clone()),
-                            retries,
-                        }
-                    }
+            state.retried += sweep.stats().retried;
+            for (&i, outcome) in batch.iter().zip(sweep.outcomes()) {
+                let Ok(run) = outcome.result() else { continue };
+                let mut signals = Vec::with_capacity(collect_names.len());
+                for name in &collect_names {
+                    signals.push((name.clone(), run.signal(name)?.clone()));
+                }
+                let done = checkpoint::DoneScenario {
+                    label: outcome.label().to_owned(),
+                    processed: run.processed_events() as u64,
+                    scheduled: run.scheduled_events() as u64,
+                    signals,
                 };
-                records[batch[pos]] = Some(record);
+                state.done.insert(i, done);
             }
+            failures.extend(sweep.failures().iter().map(|f| ScenarioFailure {
+                index: batch[f.index],
+                ..f.clone()
+            }));
             if let Some(path) = &self.checkpoint {
-                self.write_checkpoint(path, total, retried, &records)?;
+                checkpoint::write_atomic(path, &state)?;
             }
         }
 
-        // assemble in scenario-index order; statistics are re-aggregated
-        // here (rather than taken from per-batch sweeps) so a resumed or
-        // batched run is bit-identical to a single uninterrupted sweep
-        let mut outcomes = Vec::with_capacity(total);
-        let mut failures: Vec<ScenarioFailure> = Vec::new();
-        let mut quarantine: Vec<QuarantinedScenario> = Vec::new();
+        // statistics are re-aggregated over `done` in scenario-index
+        // order (rather than taken from per-batch sweeps) so a resumed
+        // or batched run is bit-identical to a single uninterrupted sweep
         let mut stats = SweepStats {
             scenarios: total,
-            retried,
+            retried: state.retried,
+            failures: failures.len(),
             ..SweepStats::default()
         };
-        for (i, record) in records.into_iter().enumerate() {
-            let record = record.expect("every scenario was executed or resumed");
-            match record.error {
-                None => {
-                    stats.processed_events += record.processed;
-                    stats.scheduled_events += record.scheduled;
-                    // the statistics cover the output ports only, which
-                    // lead every record's signal list
-                    for (_, signal) in record.signals.iter().take(ports) {
-                        stats.absorb_signal(signal);
-                    }
-                    let vcd = if d.outputs.vcd {
-                        let pairs: Vec<(&str, &Signal)> = record
-                            .signals
-                            .iter()
-                            .map(|(n, s)| (n.as_str(), s))
-                            .collect();
-                        Some(write_vcd(&pairs, "1ps", 0.001).map_err(SpecError::new)?)
-                    } else {
-                        None
-                    };
-                    let signals = if d.outputs.signals {
-                        record.signals
-                    } else {
-                        Vec::new()
-                    };
-                    outcomes.push(DigitalOutcome {
-                        label: record.label,
-                        signals,
-                        vcd,
-                        error: None,
-                    });
-                }
-                Some(cause) => {
-                    stats.failures += 1;
-                    failures.push(ScenarioFailure {
-                        index: i,
-                        label: record.label.clone(),
-                        seed: d.scenarios[i].seed,
-                        cause: cause.clone(),
-                        retries: record.retries,
-                    });
-                    quarantine.push(QuarantinedScenario {
-                        index: i,
-                        label: record.label.clone(),
-                        spec: quarantine_spec(d, i, &cause),
-                    });
-                    outcomes.push(DigitalOutcome {
-                        label: record.label,
-                        signals: Vec::new(),
-                        vcd: None,
-                        error: Some(cause),
-                    });
-                }
+        let mut outcomes: Vec<Option<DigitalOutcome>> = Vec::new();
+        outcomes.resize_with(total, || None);
+        for (i, done) in state.done {
+            stats.processed_events += done.processed;
+            stats.scheduled_events += done.scheduled;
+            // the statistics cover the output ports only, which lead
+            // every scenario's signal list
+            for (_, signal) in done.signals.iter().take(ports) {
+                stats.absorb_signal(signal);
             }
+            let vcd = if d.outputs.vcd {
+                let pairs: Vec<(&str, &Signal)> =
+                    done.signals.iter().map(|(n, s)| (n.as_str(), s)).collect();
+                Some(write_vcd(&pairs, "1ps", 0.001).map_err(SpecError::new)?)
+            } else {
+                None
+            };
+            let signals = if d.outputs.signals {
+                done.signals
+            } else {
+                Vec::new()
+            };
+            outcomes[i] = Some(DigitalOutcome {
+                label: done.label,
+                signals,
+                vcd,
+                error: None,
+            });
         }
+        let mut quarantine = Vec::with_capacity(failures.len());
+        for f in &failures {
+            outcomes[f.index] = Some(DigitalOutcome {
+                label: f.label.clone(),
+                signals: Vec::new(),
+                vcd: None,
+                error: Some(f.cause.clone()),
+            });
+            quarantine.push(QuarantinedScenario {
+                index: f.index,
+                label: f.label.clone(),
+                spec: quarantine_spec(d, f.index, &f.cause),
+            });
+        }
+        let outcomes = outcomes
+            .into_iter()
+            .map(|o| o.expect("every scenario was executed or resumed"))
+            .collect();
         write_quarantine_files(&quarantine)?;
         let failed = failures.len();
-        let stats_out = d.outputs.stats.then(|| stats.clone());
         Ok(ExperimentResult::Digital(DigitalResult {
             outcomes,
-            stats: stats_out,
+            stats: d.outputs.stats.then_some(stats),
             completed: total - failed,
             failed,
-            retried,
+            retried: state.retried,
             failures,
             quarantine,
         }))
-    }
-
-    fn write_checkpoint(
-        &self,
-        path: &Path,
-        total: usize,
-        retried: u64,
-        records: &[Option<ScenarioRecord>],
-    ) -> Result<(), Error> {
-        let mut done = BTreeMap::new();
-        for (i, record) in records.iter().enumerate() {
-            if let Some(record) = record {
-                if record.error.is_none() {
-                    done.insert(
-                        i,
-                        checkpoint::DoneScenario {
-                            label: record.label.clone(),
-                            processed: record.processed,
-                            scheduled: record.scheduled,
-                            signals: record.signals.clone(),
-                        },
-                    );
-                }
-            }
-        }
-        let state = checkpoint::CheckpointState {
-            spec_text: self.spec.to_string(),
-            total,
-            retried,
-            done,
-        };
-        checkpoint::write_atomic(path, &state)?;
-        Ok(())
     }
 
     fn run_analog(&self, a: &AnalogSpec) -> Result<AnalogResult, Error> {
@@ -805,16 +743,6 @@ fn raw_samples(samples: &[(f64, f64)], edge: Edge) -> Vec<DelaySample> {
             edge,
         })
         .collect()
-}
-
-/// One scenario's result while a batched/resumable sweep is in flight.
-struct ScenarioRecord {
-    label: String,
-    signals: Vec<(String, Signal)>,
-    processed: u64,
-    scheduled: u64,
-    error: Option<SimError>,
-    retries: u32,
 }
 
 /// Builds a seeded [`FaultPlan`] from `IVL_FAULT_SEED`, if set.

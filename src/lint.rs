@@ -685,7 +685,8 @@ impl<'a> Linter<'a> {
                 self.check_channel(c);
             }
         }
-        self.graph_pass(&graph);
+        let scc = graph.sccs();
+        self.graph_pass(&graph, &scc);
         self.hint_spread(&graph);
 
         let mut labels: HashSet<&str> = HashSet::new();
@@ -742,7 +743,7 @@ impl<'a> Linter<'a> {
             }
         }
 
-        self.hazard_pass(&graph, &d.scenarios);
+        self.hazard_pass(&graph, &scc, &d.scenarios);
         self.budget_pass(&graph, d);
         self.retry_pass(&graph, d);
     }
@@ -805,21 +806,10 @@ impl<'a> Linter<'a> {
         let FailurePolicySpec::Retry { attempts } = d.on_failure else {
             return;
         };
-        let deterministic = g.edges.iter().all(|e| {
-            let Some(c) = e.channel else {
-                return true; // direct connection
-            };
-            if !matches!(
-                c.kind.as_str(),
-                "pure" | "inertial" | "ddm" | "involution" | "eta"
-            ) {
-                return false; // custom kind: assume stochastic
-            }
-            !matches!(
-                c.params.text_or("noise", "zero"),
-                Ok("uniform" | "gaussian")
-            )
-        });
+        let deterministic = g
+            .edges
+            .iter()
+            .all(|e| !e.channel.is_some_and(ChannelSpec::is_stochastic));
         if deterministic {
             self.push(
                 "IVL041",
@@ -1042,7 +1032,7 @@ impl<'a> Linter<'a> {
         }
     }
 
-    fn graph_pass(&mut self, g: &Graph<'_>) {
+    fn graph_pass(&mut self, g: &Graph<'_>, scc: &SccResult) {
         // dangling / undriven / unreachable nodes
         for (i, node) in g.nodes.iter().enumerate() {
             let (ins, outs) = (g.in_degree[i], g.out_degree[i]);
@@ -1092,13 +1082,16 @@ impl<'a> Linter<'a> {
         // combinational cycles: an SCC whose zero-minimum-delay edges
         // alone still close a cycle deadlocks the simulator (IVL001);
         // feedback through genuinely delayed edges is legal (IVL002).
-        let scc = g.sccs();
-        for component in &scc.components {
-            let is_cycle = component.len() > 1
-                || g.edges
-                    .iter()
-                    .any(|e| e.from == e.to && component.contains(&e.from));
-            if !is_cycle {
+        // Edges inside each cyclic component, bucketed in one pass.
+        let mut inner: Vec<Vec<&GEdge<'_>>> = vec![Vec::new(); scc.components.len()];
+        for e in &g.edges {
+            let c = scc.component[e.from];
+            if scc.cyclic[e.from] && scc.component[e.to] == c {
+                inner[c].push(e);
+            }
+        }
+        for (component, inner) in scc.components.iter().zip(inner) {
+            if !scc.cyclic[component[0]] {
                 continue;
             }
             let names: Vec<&str> = component
@@ -1106,15 +1099,9 @@ impl<'a> Linter<'a> {
                 .map(|&i| g.nodes[i].name.as_str())
                 .collect();
             let span = component.iter().find_map(|&i| g.nodes[i].span);
-            let in_component: HashSet<usize> = component.iter().copied().collect();
-            let zero_edges: Vec<&GEdge<'_>> = g
-                .edges
-                .iter()
-                .filter(|e| {
-                    in_component.contains(&e.from)
-                        && in_component.contains(&e.to)
-                        && self.edge_is_zero_delay(e)
-                })
+            let zero_edges: Vec<&GEdge<'_>> = inner
+                .into_iter()
+                .filter(|e| self.edge_is_zero_delay(e))
                 .collect();
             if has_cycle(component, &zero_edges) {
                 self.push(
@@ -1184,21 +1171,9 @@ impl<'a> Linter<'a> {
 
     // ---- pass 3: stimulus hazard analysis ----
 
-    fn hazard_pass(&mut self, g: &Graph<'_>, scenarios: &[ScenarioSpec]) {
-        let scc = g.sccs();
-        let cyclic: HashSet<usize> = scc
-            .components
-            .iter()
-            .filter(|c| {
-                c.len() > 1
-                    || g.edges
-                        .iter()
-                        .any(|e| e.from == e.to && c.contains(&e.from))
-            })
-            .flatten()
-            .copied()
-            .collect();
-        let order = g.topo_order(&cyclic);
+    fn hazard_pass(&mut self, g: &Graph<'_>, scc: &SccResult, scenarios: &[ScenarioSpec]) {
+        let cyclic = &scc.cyclic;
+        let order = g.topo_order(cyclic);
         // edge index -> (first scenario label, death count)
         let mut deaths: HashMap<usize, (String, usize)> = HashMap::new();
         for s in scenarios {
@@ -1217,7 +1192,7 @@ impl<'a> Linter<'a> {
                 }
                 for &ei in &g.out_edges[v] {
                     let e = &g.edges[ei];
-                    if cyclic.contains(&e.to) {
+                    if cyclic[e.to] {
                         continue;
                     }
                     let w_out = match e.channel {
@@ -1583,6 +1558,11 @@ struct Graph<'a> {
 
 struct SccResult {
     components: Vec<Vec<usize>>,
+    /// Per node: the index of its component.
+    component: Vec<usize>,
+    /// Per node: whether its component closes a cycle (more than one
+    /// member, or a self-loop).
+    cyclic: Vec<bool>,
 }
 
 impl<'a> Graph<'a> {
@@ -1675,23 +1655,35 @@ impl<'a> Graph<'a> {
             members.sort_unstable();
             components.push(members);
         }
-        SccResult { components }
+        let mut closes = vec![false; components.len()];
+        for e in &self.edges {
+            if e.from == e.to {
+                closes[component[e.from]] = true;
+            }
+        }
+        for (id, members) in components.iter().enumerate() {
+            closes[id] |= members.len() > 1;
+        }
+        let cyclic = component.iter().map(|&id| closes[id]).collect();
+        SccResult {
+            components,
+            component,
+            cyclic,
+        }
     }
 
     /// A topological order of the acyclic part (nodes in `cyclic` are
     /// excluded; their downstream still appears, fed only by what
     /// reaches it acyclically).
-    fn topo_order(&self, cyclic: &HashSet<usize>) -> Vec<usize> {
-        let mut indeg: Vec<usize> = (0..self.nodes.len())
-            .map(|v| {
-                self.edges
-                    .iter()
-                    .filter(|e| e.to == v && !cyclic.contains(&e.from) && !cyclic.contains(&e.to))
-                    .count()
-            })
-            .collect();
+    fn topo_order(&self, cyclic: &[bool]) -> Vec<usize> {
+        let mut indeg = vec![0usize; self.nodes.len()];
+        for e in &self.edges {
+            if !cyclic[e.from] && !cyclic[e.to] {
+                indeg[e.to] += 1;
+            }
+        }
         let mut queue: Vec<usize> = (0..self.nodes.len())
-            .filter(|v| !cyclic.contains(v) && indeg[*v] == 0)
+            .filter(|&v| !cyclic[v] && indeg[v] == 0)
             .collect();
         let mut order = Vec::with_capacity(queue.len());
         let mut head = 0;
@@ -1701,7 +1693,7 @@ impl<'a> Graph<'a> {
             order.push(v);
             for &ei in &self.out_edges[v] {
                 let to = self.edges[ei].to;
-                if cyclic.contains(&to) {
+                if cyclic[to] {
                     continue;
                 }
                 indeg[to] -= 1;
@@ -1719,26 +1711,24 @@ fn has_cycle(component: &[usize], edges: &[&GEdge<'_>]) -> bool {
     if edges.iter().any(|e| e.from == e.to) {
         return true;
     }
-    // Kahn's algorithm on the restricted subgraph: leftover nodes = cycle
-    let mut indeg: HashMap<usize, usize> = component.iter().map(|&v| (v, 0)).collect();
+    // Kahn's algorithm on the restricted subgraph: leftover nodes = cycle;
+    // `component` is sorted, so a node's local index is a binary search
+    let local = |v: usize| component.binary_search(&v).expect("edge within component");
+    let mut indeg = vec![0usize; component.len()];
+    let mut out: Vec<Vec<usize>> = vec![Vec::new(); component.len()];
     for e in edges {
-        *indeg.get_mut(&e.to).expect("edge within component") += 1;
+        let (from, to) = (local(e.from), local(e.to));
+        out[from].push(to);
+        indeg[to] += 1;
     }
-    let mut queue: Vec<usize> = component
-        .iter()
-        .copied()
-        .filter(|v| indeg[v] == 0)
-        .collect();
+    let mut queue: Vec<usize> = (0..component.len()).filter(|&v| indeg[v] == 0).collect();
     let mut removed = 0;
     while let Some(v) = queue.pop() {
         removed += 1;
-        for e in edges {
-            if e.from == v {
-                let d = indeg.get_mut(&e.to).expect("edge within component");
-                *d -= 1;
-                if *d == 0 {
-                    queue.push(e.to);
-                }
+        for &to in &out[v] {
+            indeg[to] -= 1;
+            if indeg[to] == 0 {
+                queue.push(to);
             }
         }
     }

@@ -73,7 +73,7 @@ mod cache;
 mod client;
 mod protocol;
 mod server;
-mod wire;
+pub(crate) mod wire;
 
 pub use cache::{CacheCounters, ResultCache};
 pub use client::{run_batch, BatchOptions, BatchReport, Response, ServiceClient};

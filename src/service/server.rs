@@ -632,23 +632,10 @@ fn topology_stochastic(topology: &TopologySpec) -> bool {
         TopologySpec::InverterChain { channel, .. }
         | TopologySpec::Grid2d { channel, .. }
         | TopologySpec::RandomDag { channel, .. }
-        | TopologySpec::FatTree { channel, .. } => channel_stochastic(channel),
+        | TopologySpec::FatTree { channel, .. } => channel.is_stochastic(),
         TopologySpec::Netlist(n) => n
             .edges
             .iter()
-            .any(|e| e.channel.as_ref().is_some_and(channel_stochastic)),
+            .any(|e| e.channel.as_ref().is_some_and(ChannelSpec::is_stochastic)),
     }
-}
-
-fn channel_stochastic(c: &ChannelSpec) -> bool {
-    if !matches!(
-        c.kind.as_str(),
-        "pure" | "inertial" | "ddm" | "involution" | "eta"
-    ) {
-        return true; // custom kind: conservatively assume stochastic
-    }
-    matches!(
-        c.params.text_or("noise", "zero"),
-        Ok("uniform" | "gaussian")
-    )
 }

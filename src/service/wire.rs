@@ -30,7 +30,9 @@ fn field(name: &str, value: Value) -> (String, Value) {
 // Signals
 // ======================================================================
 
-fn signal_value(name: Option<&str>, s: &Signal) -> Value {
+/// The `sig` node shared by result documents and checkpoint sidecars:
+/// an optional `name`, the `initial` level and the transition `times`.
+pub(crate) fn signal_value(name: Option<&str>, s: &Signal) -> Value {
     let mut fields = Vec::with_capacity(3);
     if let Some(n) = name {
         fields.push(field("name", Value::str(n)));
@@ -43,7 +45,8 @@ fn signal_value(name: Option<&str>, s: &Signal) -> Value {
     Value::node("sig", fields)
 }
 
-fn signal_from_value(value: Value) -> Result<(Option<String>, Signal), SpecError> {
+/// Parses a [`signal_value`] node back into its name and signal.
+pub(crate) fn signal_from_value(value: Value) -> Result<(Option<String>, Signal), SpecError> {
     let mut f = Fields::of(value, "sig")?;
     f.expect_tag(&["sig"])?;
     let name = match f.take("name") {
@@ -62,7 +65,7 @@ fn signal_from_value(value: Value) -> Result<(Option<String>, Signal), SpecError
         .collect::<Result<Vec<f64>, _>>()?;
     f.finish()?;
     let signal = Signal::from_times(initial, &times)
-        .map_err(|e| SpecError::new(format!("invalid served signal: {e}")))?;
+        .map_err(|e| SpecError::new(format!("invalid signal: {e}")))?;
     Ok((name, signal))
 }
 

@@ -164,6 +164,21 @@ impl ChannelSpec {
             }
         }
     }
+
+    /// `true` unless the channel provably draws no randomness: a
+    /// built-in kind whose `noise` is neither `uniform` nor `gaussian`.
+    /// Custom kinds are conservatively assumed stochastic.
+    pub(crate) fn is_stochastic(&self) -> bool {
+        let builtin = matches!(
+            self.kind.as_str(),
+            "pure" | "inertial" | "ddm" | "involution" | "eta"
+        );
+        !builtin
+            || matches!(
+                self.params.text_or("noise", "zero"),
+                Ok("uniform" | "gaussian")
+            )
+    }
 }
 
 /// Apply one channel to one input signal.
@@ -600,17 +615,16 @@ pub struct OutputSelect {
     /// Render a VCD dump of each scenario's output ports (timescale
     /// 1 ps, one tick per 0.001 time units).
     pub vcd: bool,
-    /// Restrict recording to these nodes (plus the output ports, which
-    /// are always recorded). Empty means record every node and edge —
-    /// the historical behaviour. On generated scale-tier netlists a
-    /// non-empty watch list bounds simulation memory by the watch set
-    /// instead of the netlist, and the named signals ride along in
-    /// each scenario's `signals`/VCD output.
+    /// Non-port nodes to record next to the output ports, which are
+    /// always recorded. Empty means the output ports only. Every other
+    /// node keeps a constant-size last-value slot, so simulation memory
+    /// is bounded by the watch set instead of the netlist; the named
+    /// signals ride along in each scenario's `signals`/VCD output.
     pub watch: Vec<String>,
 }
 
 impl Default for OutputSelect {
-    /// Signals and stats on, VCD off, no watch restriction.
+    /// Signals and stats on, VCD off, output ports only.
     fn default() -> Self {
         OutputSelect {
             signals: true,
@@ -629,8 +643,7 @@ impl OutputSelect {
         self
     }
 
-    /// Adds a node to the watch list (switching the run to selective
-    /// recording).
+    /// Adds a node to record next to the output ports.
     #[must_use]
     pub fn with_watch(mut self, node: impl Into<String>) -> Self {
         self.watch.push(node.into());
@@ -2290,5 +2303,35 @@ impl FromStr for ExperimentSpec {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         ExperimentSpec::from_value(parse_document(s)?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn channel_stochasticity_follows_kind_and_noise() {
+        let eta = |noise| ChannelSpec::eta_exp(1.0, 0.5, 0.5, 0.02, 0.02, noise);
+        for deterministic in [
+            ChannelSpec::pure(1.0),
+            ChannelSpec::inertial(1.0, 0.5),
+            ChannelSpec::ddm(1.0, 0.5, 1.0),
+            ChannelSpec::involution_exp(1.0, 0.5, 0.5),
+            eta(NoiseSpec::Zero),
+            eta(NoiseSpec::WorstCase),
+        ] {
+            assert!(!deterministic.is_stochastic(), "{deterministic:?}");
+        }
+        for stochastic in [
+            eta(NoiseSpec::Uniform { seed: 3 }),
+            eta(NoiseSpec::Gaussian {
+                sigma: 0.01,
+                seed: 3,
+            }),
+            ChannelSpec::new("custom_kind").with_text("noise", "zero"),
+        ] {
+            assert!(stochastic.is_stochastic(), "{stochastic:?}");
+        }
     }
 }

@@ -208,6 +208,67 @@ fn env_seeded_fault_plan_is_survived() {
     assert_eq!(run.completed, scenarios - want.len());
 }
 
+/// A checkpointed `skip` sweep leaves its skipped failure out of the
+/// sidecar; resuming re-runs exactly that scenario and matches a
+/// fault-free run.
+#[test]
+fn resume_after_skipped_failure_reruns_only_the_failed_scenario() {
+    const K: usize = 5;
+    let scenarios = 12;
+    let path = std::env::temp_dir().join(format!("faithful_ckpt_skip_{}.spec", std::process::id()));
+    std::fs::remove_file(&path).ok();
+
+    let reference = run_digital(
+        Experiment::digital(chaos_spec(scenarios, 2)).with_fault_plan(FaultPlan::new()),
+    );
+
+    let skipped = run_digital(
+        Experiment::digital(chaos_spec(scenarios, 2))
+            .with_fault_plan(FaultPlan::new().with_fault(K, FaultKind::Panic))
+            .with_checkpoint(&path)
+            .with_checkpoint_every(2),
+    );
+    assert_eq!(skipped.failed, 1);
+    assert_eq!(skipped.failures[0].index, K);
+
+    let sidecar = std::fs::read_to_string(&path).expect("sidecar written");
+    let label = |i: usize| format!("label = \"s{i}\";");
+    for i in 0..scenarios {
+        assert_eq!(sidecar.contains(&label(i)), i != K, "scenario {i}");
+    }
+
+    // a resume may only execute scenario K: on a copy of the sidecar, a
+    // fault planned anywhere else fails the run if that scenario re-runs
+    let copy = path.with_extension("copy");
+    std::fs::copy(&path, &copy).expect("sidecar copied");
+    let mut others = FaultPlan::new();
+    for i in (0..scenarios).filter(|&i| i != K) {
+        others = others.with_fault(i, FaultKind::Panic);
+    }
+    let guarded = run_digital(
+        Experiment::resume(&copy)
+            .expect("sidecar parses")
+            .with_fault_plan(others),
+    );
+    std::fs::remove_file(&copy).ok();
+    assert_eq!(guarded.failed, 0);
+
+    let resumed = run_digital(
+        Experiment::resume(&path)
+            .expect("sidecar parses")
+            .with_fault_plan(FaultPlan::new()),
+    );
+    std::fs::remove_file(&path).ok();
+    assert_eq!(resumed.completed, reference.completed);
+    assert_eq!(resumed.failed, 0);
+    assert_eq!(resumed.outcomes.len(), reference.outcomes.len());
+    for (a, b) in resumed.outcomes.iter().zip(&reference.outcomes) {
+        assert_eq!(a.label, b.label);
+        assert_eq!(a.signals, b.signals);
+    }
+    assert_eq!(resumed.stats, reference.stats);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -96,6 +96,41 @@ fn shipped_specs_and_experiments_md_lint_clean() {
     }
 }
 
+/// A 20 000-stage chain: the dying stimulus is reported once, at the
+/// first channel it meets (IVL020); the surviving one widens slightly
+/// per stage and exhausts the probe budget (IVL022). This pins the
+/// diagnostics only, not the cost of linting.
+#[test]
+fn long_chain_reports_ivl020_then_ivl022() {
+    let channel = faithful::ChannelSpec::eta_exp(
+        1.0,
+        0.5,
+        0.5,
+        0.02,
+        0.02,
+        faithful::NoiseSpec::Uniform { seed: 0 },
+    );
+    let spec = ExperimentSpec::digital(
+        DigitalSpec::new(
+            TopologySpec::InverterChain {
+                stages: 20_000,
+                channel,
+            },
+            100.0,
+        )
+        .with_scenario(ScenarioSpec::new("narrow").with_input("a", SignalSpec::pulse(1.0, 0.01)))
+        .with_scenario(ScenarioSpec::new("wide").with_input("a", SignalSpec::pulse(1.0, 6.0))),
+    );
+    let report = lint(&spec, &registry());
+    let codes: Vec<&str> = report.diagnostics().iter().map(|d| d.code).collect();
+    assert_eq!(codes, ["IVL020", "IVL022"], "{report}");
+    let message = &report.diagnostics()[0].message;
+    assert!(
+        message.contains("\"narrow\"") && message.contains("\"inv0\" -> \"inv1\""),
+        "{message}"
+    );
+}
+
 #[test]
 fn diagnostic_spans_point_into_the_text() {
     let report = lint_text(&corpus("unknown_kind.spec"), &registry()).unwrap();

@@ -58,6 +58,14 @@ fn in_process(text: &str) -> String {
 }
 
 #[test]
+fn empty_watch_renders_the_same_bytes_as_watching_the_output() {
+    let ports_only = digital_spec(3).replace("vcd = false }", "vcd = true }");
+    let watched = digital_spec(3).replace("vcd = false }", "vcd = true; watch = [\"y\"] }");
+    assert_ne!(ports_only, watched);
+    assert_eq!(in_process(&ports_only), in_process(&watched));
+}
+
+#[test]
 fn served_results_are_bit_identical_to_in_process_across_connections() {
     // (spec, in-process golden bytes); the server overrides `workers`,
     // so equality here also pins worker-count invariance end to end.
