@@ -24,7 +24,10 @@
 //! pipeline is tracked across PRs. The baseline records `host_cpus`
 //! (`available_parallelism`) — parallel speedups are only meaningful
 //! relative to the cores the recording host actually had. In `--test`
-//! mode (CI smoke) every measurement runs exactly once. With
+//! mode (CI smoke) every measurement runs exactly once and the numbers
+//! go to `target/BENCH_digital.test.json`, so a one-iteration run never
+//! replaces the committed baseline (which the gates below still read).
+//! With
 //! `IVL_BENCH_CHECK=1` the harness exits non-zero if (a) the calendar
 //! queue is slower than the heap on the 1k-chain case, (b) the `Auto`
 //! backend lands below 0.95× heap on *any* benched topology, (c) —
@@ -662,10 +665,8 @@ fn scale_tier() -> Vec<ScaleResult> {
         100_000,
         &chain_input,
         || {
-            ivl_circuit::generate::inverter_chain(100_000, || {
-                Box::new(InvolutionChannel::new(d.clone()))
-            })
-            .unwrap()
+            ivl_circuit::generate::inverter_chain(100_000, || InvolutionChannel::new(d.clone()))
+                .unwrap()
         },
     ));
 
@@ -675,10 +676,7 @@ fn scale_tier() -> Vec<ScaleResult> {
             "grid_1M",
             1_000_000,
             &grid_input,
-            || {
-                ivl_circuit::generate::grid(1000, 1000, || Box::new(PureDelay::new(0.9).unwrap()))
-                    .unwrap()
-            },
+            || ivl_circuit::generate::grid(1000, 1000, || PureDelay::new(0.9).unwrap()).unwrap(),
         ));
     } else {
         println!("scale tier: grid_1M skipped (set IVL_BENCH_FULL=1 to run it)");
@@ -957,19 +955,23 @@ fn emit_baseline(test_mode: bool) {
     json.push_str("  }\n");
     json.push_str("}\n");
 
-    let dir = std::env::var_os("BENCH_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .ancestors()
-                .nth(2)
-                .expect("workspace root exists")
-                .to_path_buf()
-        });
-    let path = dir.join("BENCH_digital.json");
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root exists");
+    let dir = std::env::var_os("BENCH_DIR").map_or_else(|| root.to_path_buf(), Into::into);
+    let baseline = dir.join("BENCH_digital.json");
     // the committed baseline feeds the peak-RSS regression gate, so it
-    // must be read before this run's numbers replace it
-    let prior_baseline = std::fs::read_to_string(&path).unwrap_or_default();
+    // must be read before a full run's numbers replace it; a `--test`
+    // run writes beside the build output and leaves it alone
+    let prior_baseline = std::fs::read_to_string(&baseline).unwrap_or_default();
+    let path = if test_mode {
+        let target = root.join("target");
+        std::fs::create_dir_all(&target).expect("can create the target directory");
+        target.join("BENCH_digital.test.json")
+    } else {
+        baseline
+    };
     std::fs::write(&path, json).expect("can write bench baseline");
     println!("baseline written to {}", path.display());
     for (name, s) in &queue_speedups {

@@ -20,9 +20,11 @@
 //!   the leaves, single root. The extreme fanout-then-fan-in shape.
 //!
 //! Channels come from a caller-supplied factory closure (one call per
-//! edge), so generators stay agnostic of the channel algebra: pass
-//! `|| PureDelay::new(1.0).unwrap().clone_box()` or a closure cloning a
-//! registry-built prototype.
+//! edge) returning anything that converts into an [`AnyChannel`], so
+//! generators stay agnostic of the channel algebra: pass
+//! `|| PureDelay::new(1.0).unwrap()` or a closure cloning a
+//! registry-built prototype. Built-in channels are stored inline in the
+//! circuit.
 //!
 //! Gate initial values are computed by forward propagation assuming the
 //! input port starts at [`Bit::Zero`], so a scenario whose input signal
@@ -32,12 +34,8 @@
 use crate::error::CircuitError;
 use crate::gate::GateKind;
 use crate::graph::{Circuit, CircuitBuilder, NodeId};
-use ivl_core::channel::SimChannel;
+use ivl_core::channel::AnyChannel;
 use ivl_core::Bit;
-
-/// A channel factory: called once per generated edge.
-pub trait ChannelFactory: FnMut() -> Box<dyn SimChannel> {}
-impl<F: FnMut() -> Box<dyn SimChannel>> ChannelFactory for F {}
 
 /// `stages` inverters in series between input `"a"` and output `"y"`.
 ///
@@ -51,9 +49,9 @@ impl<F: FnMut() -> Box<dyn SimChannel>> ChannelFactory for F {}
 /// Propagates [`CircuitError`] from circuit construction (`stages` of 0
 /// leaves the output port undriven only through the direct wire rule;
 /// a zero-stage chain degenerates to `a → y` through one channel).
-pub fn inverter_chain(
+pub fn inverter_chain<C: Into<AnyChannel>>(
     stages: u32,
-    mut channel: impl ChannelFactory,
+    mut channel: impl FnMut() -> C,
 ) -> Result<Circuit, CircuitError> {
     let mut b = CircuitBuilder::new();
     let a = b.input("a");
@@ -65,11 +63,11 @@ pub fn inverter_chain(
         if i == 0 {
             b.connect_direct(prev, g, 0)?;
         } else {
-            b.connect_boxed(prev, g, 0, channel())?;
+            b.connect(prev, g, 0, channel())?;
         }
         prev = g;
     }
-    b.connect_boxed(prev, y, 0, channel())?;
+    b.connect(prev, y, 0, channel())?;
     b.build()
 }
 
@@ -90,10 +88,10 @@ pub fn inverter_chain(
 /// Returns [`CircuitError`] from construction; a zero `width` or
 /// `height` produces an undriven output port
 /// ([`CircuitError::UnconnectedPin`]).
-pub fn grid(
+pub fn grid<C: Into<AnyChannel>>(
     width: u32,
     height: u32,
-    mut channel: impl ChannelFactory,
+    mut channel: impl FnMut() -> C,
 ) -> Result<Circuit, CircuitError> {
     let mut b = CircuitBuilder::new();
     let a = b.input("a");
@@ -124,11 +122,11 @@ pub fn grid(
                     b.connect_direct(a, g, 0)?;
                 }
                 (Some(p), None) | (None, Some(p)) => {
-                    b.connect_boxed(ids[p], g, 0, channel())?;
+                    b.connect(ids[p], g, 0, channel())?;
                 }
                 (Some(l), Some(u)) => {
-                    b.connect_boxed(ids[l], g, 0, channel())?;
-                    b.connect_boxed(ids[u], g, 1, channel())?;
+                    b.connect(ids[l], g, 0, channel())?;
+                    b.connect(ids[u], g, 1, channel())?;
                 }
             }
             ids.push(g);
@@ -136,7 +134,7 @@ pub fn grid(
         }
     }
     let corner = ids[ids.len() - 1];
-    b.connect_boxed(corner, y, 0, channel())?;
+    b.connect(corner, y, 0, channel())?;
     b.build()
 }
 
@@ -153,10 +151,10 @@ pub fn grid(
 ///
 /// Returns [`CircuitError`] from construction; `nodes` of 0 produces an
 /// undriven output port ([`CircuitError::UnconnectedPin`]).
-pub fn random_dag(
+pub fn random_dag<C: Into<AnyChannel>>(
     nodes: u32,
     seed: u64,
-    mut channel: impl ChannelFactory,
+    mut channel: impl FnMut() -> C,
 ) -> Result<Circuit, CircuitError> {
     let mut b = CircuitBuilder::new();
     let a = b.input("a");
@@ -183,21 +181,21 @@ pub fn random_dag(
             let u = (rng.next() % u64::from(i)) as usize;
             let init = GateKind::Nand.eval(&[inits[l], inits[u]]);
             let g = b.gate(&name, GateKind::Nand, init);
-            b.connect_boxed(ids[l], g, 0, channel())?;
-            b.connect_boxed(ids[u], g, 1, channel())?;
+            b.connect(ids[l], g, 0, channel())?;
+            b.connect(ids[u], g, 1, channel())?;
             ids.push(g);
             inits.push(init);
         } else {
             let p = (rng.next() % u64::from(i)) as usize;
             let init = GateKind::Not.eval(&[inits[p]]);
             let g = b.gate(&name, GateKind::Not, init);
-            b.connect_boxed(ids[p], g, 0, channel())?;
+            b.connect(ids[p], g, 0, channel())?;
             ids.push(g);
             inits.push(init);
         }
     }
     let last = ids[ids.len() - 1];
-    b.connect_boxed(last, y, 0, channel())?;
+    b.connect(last, y, 0, channel())?;
     b.build()
 }
 
@@ -219,7 +217,10 @@ pub fn random_dag(
 /// Panics if `depth > 24` (≈ 33 M gates — beyond that a fat tree is
 /// never what you want; use [`grid`]. The lint layer rejects such
 /// specs earlier).
-pub fn fat_tree(depth: u32, mut channel: impl ChannelFactory) -> Result<Circuit, CircuitError> {
+pub fn fat_tree<C: Into<AnyChannel>>(
+    depth: u32,
+    mut channel: impl FnMut() -> C,
+) -> Result<Circuit, CircuitError> {
     assert!(
         depth <= 24,
         "fat_tree depth {depth} exceeds the 2^24-leaf cap"
@@ -245,15 +246,15 @@ pub fn fat_tree(depth: u32, mut channel: impl ChannelFactory) -> Result<Circuit,
             let (cl, cr) = (2 * i, 2 * i + 1);
             let init = GateKind::Nand.eval(&[level_inits[cl], level_inits[cr]]);
             let g = b.gate(&format!("t{l}_{i}"), GateKind::Nand, init);
-            b.connect_boxed(level_ids[cl], g, 0, channel())?;
-            b.connect_boxed(level_ids[cr], g, 1, channel())?;
+            b.connect(level_ids[cl], g, 0, channel())?;
+            b.connect(level_ids[cr], g, 1, channel())?;
             next_ids.push(g);
             next_inits.push(init);
         }
         level_ids = next_ids;
         level_inits = next_inits;
     }
-    b.connect_boxed(level_ids[0], y, 0, channel())?;
+    b.connect(level_ids[0], y, 0, channel())?;
     b.build()
 }
 
@@ -279,11 +280,11 @@ impl SplitMix64 {
 mod tests {
     use super::*;
     use crate::sim::Simulator;
-    use ivl_core::channel::{PureDelay, SimChannel};
+    use ivl_core::channel::PureDelay;
     use ivl_core::Signal;
 
-    fn delay() -> Box<dyn SimChannel> {
-        PureDelay::new(1.0).unwrap().clone_box()
+    fn delay() -> PureDelay {
+        PureDelay::new(1.0).unwrap()
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
-use ivl_core::channel::SimChannel;
+use ivl_core::channel::AnyChannel;
 use ivl_core::Bit;
 
 use crate::error::CircuitError;
@@ -142,7 +142,7 @@ impl Topology {
 // builder-internal representation before the topology/channel split
 enum Connection {
     Direct,
-    Channel(Box<dyn SimChannel>),
+    Channel(AnyChannel),
 }
 
 /// Incremental circuit constructor.
@@ -323,48 +323,25 @@ impl CircuitBuilder {
 
     /// Connects `from` to pin `pin` of `to` through `channel`.
     ///
-    /// Any [`OnlineChannel`](ivl_core::channel::OnlineChannel) that is
-    /// also `Clone + Send + Sync` qualifies (the [`SimChannel`] blanket
-    /// impl); scenario-sweep workers borrow one [`Circuit`] and each
-    /// clone it into their own simulator.
+    /// Every built-in channel converts into an [`AnyChannel`] and is
+    /// stored inline; a channel of any other kind goes in through
+    /// [`AnyChannel::custom`] (or as a `Box<dyn SimChannel>`).
+    /// Scenario-sweep workers borrow one [`Circuit`] and each clone it
+    /// into their own simulator.
     ///
     /// # Errors
     ///
     /// Returns an error for unknown nodes, out-of-range or doubly driven
     /// pins, or connections against port direction.
-    pub fn connect<C>(
+    pub fn connect(
         &mut self,
         from: NodeId,
         to: NodeId,
         pin: usize,
-        channel: C,
-    ) -> Result<EdgeId, CircuitError>
-    where
-        C: SimChannel + 'static,
-    {
-        self.check_endpoints(from, to, pin)?;
-        Ok(self.push_edge(from, to, pin, Connection::Channel(Box::new(channel))))
-    }
-
-    /// Connects `from` to pin `pin` of `to` through an already-boxed
-    /// channel — the dynamic-dispatch twin of
-    /// [`connect`](CircuitBuilder::connect), for callers that source
-    /// channels from a factory (the parametric topology
-    /// [`generate`](crate::generate) functions, spec-driven netlists).
-    /// Avoids wrapping the box in a second box.
-    ///
-    /// # Errors
-    ///
-    /// As [`connect`](CircuitBuilder::connect).
-    pub fn connect_boxed(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        pin: usize,
-        channel: Box<dyn SimChannel>,
+        channel: impl Into<AnyChannel>,
     ) -> Result<EdgeId, CircuitError> {
         self.check_endpoints(from, to, pin)?;
-        Ok(self.push_edge(from, to, pin, Connection::Channel(channel)))
+        Ok(self.push_edge(from, to, pin, Connection::Channel(channel.into())))
     }
 
     /// Connects `from` to pin `pin` of `to` with zero delay. At least one
@@ -481,28 +458,23 @@ impl fmt::Debug for CircuitBuilder {
 ///
 /// A circuit is two layers: an immutable, `Arc`-shared netlist (flat
 /// node-attribute arrays, edge endpoints, CSR adjacency, name index)
-/// and per-instance channel state (`Box<dyn SimChannel>` per channel
-/// edge, `None` for direct connections). Cloning deep-copies only the
-/// channels — their single-history and noise/RNG state is what makes
-/// clones simulate independently — while every clone keeps pointing at
-/// the *same* netlist allocation. This is what lets the parallel
+/// and per-instance channel state: one flat array holding an
+/// [`AnyChannel`] by value per channel edge, `None` for direct
+/// connections. Cloning deep-copies only the channels — their
+/// single-history and noise/RNG state is what makes clones simulate
+/// independently — while every clone keeps pointing at the *same*
+/// netlist allocation. This is what lets the parallel
 /// [`ScenarioRunner`](crate::ScenarioRunner) hand each worker its own
 /// circuit without duplicating a million-gate topology per worker.
+/// With built-in channels the copy is one allocation, and dropping it
+/// one free; only η-involution and custom channels keep a box per edge.
+#[derive(Clone)]
 pub struct Circuit {
     pub(crate) topo: Arc<Topology>,
     /// Mutable per-edge channel state; `None` for direct connections.
     /// Indexed by [`EdgeId`], in lockstep with the topology's edge
     /// arrays.
-    pub(crate) channels: Vec<Option<Box<dyn SimChannel>>>,
-}
-
-impl Clone for Circuit {
-    fn clone(&self) -> Self {
-        Circuit {
-            topo: Arc::clone(&self.topo),
-            channels: self.channels.clone(),
-        }
-    }
+    pub(crate) channels: Vec<Option<AnyChannel>>,
 }
 
 impl Circuit {
@@ -601,21 +573,22 @@ impl Circuit {
     /// an adversary/noise source into a prebuilt circuit without
     /// rebuilding the netlist (e.g. the SPF circuit's per-run noise).
     /// The channel lives outside the `Arc`-shared netlist, so the swap
-    /// touches one box pointer — no part of the topology is cloned.
+    /// writes one slot of the channel array — no part of the topology
+    /// is cloned.
     ///
     /// # Panics
     ///
     /// Panics if `id` does not belong to this circuit or refers to a
     /// direct (channel-free) connection — a direct edge can never
     /// legally carry a channel, because gates and channels alternate.
-    pub fn replace_channel(&mut self, id: EdgeId, channel: Box<dyn SimChannel>) {
+    pub fn replace_channel(&mut self, id: EdgeId, channel: impl Into<AnyChannel>) {
         let slot = &mut self.channels[id.index()];
         assert!(
             slot.is_some(),
             "edge {} is a direct connection, not a channel",
             id.0
         );
-        *slot = Some(channel);
+        *slot = Some(channel.into());
     }
 
     /// Number of live circuit clones (including this one) sharing this
@@ -636,8 +609,8 @@ impl Circuit {
             .map(|i| EdgeId(i as u32))
     }
 
-    /// A fresh box of the channel on `id`, if `id` carries one.
-    pub(crate) fn clone_channel(&self, id: EdgeId) -> Option<Box<dyn SimChannel>> {
+    /// A copy of the channel on `id`, if `id` carries one.
+    pub(crate) fn clone_channel(&self, id: EdgeId) -> Option<AnyChannel> {
         self.channels.get(id.index()).and_then(Clone::clone)
     }
 }

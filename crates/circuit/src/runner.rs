@@ -63,7 +63,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ivl_core::channel::{FeedEffect, OnlineChannel};
+use ivl_core::channel::{AnyChannel, FeedEffect, OnlineChannel};
 use ivl_core::{PulseStats, Signal, Transition};
 
 use crate::error::SimError;
@@ -680,7 +680,7 @@ impl<'a> Sweep<'a> {
                 let Some(edge) = circuit.first_channel_edge() else {
                     return run_scenario(sim, scenario, horizon);
                 };
-                sim.replace_channel(edge, Box::new(CorruptedChannel));
+                sim.replace_channel(edge, AnyChannel::custom(CorruptedChannel));
                 let result = run_scenario(sim, scenario, horizon);
                 let original = circuit
                     .clone_channel(edge)
@@ -1270,8 +1270,10 @@ mod tests {
         let a = b.input("a");
         let inv = b.gate("inv", GateKind::Not, Bit::One);
         let y = b.output("y");
-        b.connect(a, inv, 0, counting(0)).unwrap();
-        b.connect(inv, y, 0, counting(1)).unwrap();
+        b.connect(a, inv, 0, AnyChannel::custom(counting(0)))
+            .unwrap();
+        b.connect(inv, y, 0, AnyChannel::custom(counting(1)))
+            .unwrap();
         let runner = ScenarioRunner::new(b.build().unwrap(), 100.0).with_workers(4);
         for n in 1..=6 {
             let before: Vec<usize> = clones.iter().map(|c| c.load(Ordering::SeqCst)).collect();

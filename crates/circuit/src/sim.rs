@@ -46,7 +46,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use ivl_core::channel::{FeedEffect, OnlineChannel as _, SimChannel};
+use ivl_core::channel::{AnyChannel, FeedEffect, OnlineChannel as _};
 use ivl_core::{Bit, Signal, SignalBuilder, Transition};
 
 use crate::error::SimError;
@@ -572,7 +572,7 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `edge` is out of range or is a direct connection.
-    pub fn replace_channel(&mut self, edge: EdgeId, channel: Box<dyn SimChannel>) {
+    pub fn replace_channel(&mut self, edge: EdgeId, channel: impl Into<AnyChannel>) {
         self.circuit.replace_channel(edge, channel);
         self.calendar = calendar_config_for(&self.circuit);
     }
@@ -1757,7 +1757,11 @@ mod tests {
             g,
             y,
             0,
-            EtaInvolutionChannel::new(d, bounds, RecordedChoices::new(vec![0.0, -9.0])),
+            AnyChannel::custom(EtaInvolutionChannel::new(
+                d,
+                bounds,
+                RecordedChoices::new(vec![0.0, -9.0]),
+            )),
         )
         .unwrap();
         let mut sim = Simulator::new(b.build().unwrap());
@@ -1786,7 +1790,7 @@ mod tests {
         sim.set_input("a", Signal::pulse(0.0, 1.0).unwrap())
             .unwrap();
         let before = sim.run(10.0).unwrap();
-        sim.replace_channel(e, Box::new(pure(2.0)));
+        sim.replace_channel(e, pure(2.0));
         assert!(sim.circuit().shares_topology_with(&template));
         let after = sim.run(10.0).unwrap();
         assert!(before

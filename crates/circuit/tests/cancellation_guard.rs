@@ -9,7 +9,7 @@
 //! fail on the old simulator when compiled with `--release`.
 
 use ivl_circuit::{CircuitBuilder, GateKind, SimError, Simulator};
-use ivl_core::channel::{FeedEffect, OnlineChannel};
+use ivl_core::channel::{AnyChannel, FeedEffect, OnlineChannel};
 use ivl_core::{Bit, Signal, Transition};
 
 /// A channel that schedules its first two outputs normally and then
@@ -55,7 +55,7 @@ fn run_with(rogue: RogueChannel) -> Result<(), SimError> {
     let g = b.gate("buf", GateKind::Buf, Bit::Zero);
     let y = b.output("y");
     b.connect_direct(a, g, 0).unwrap();
-    b.connect(g, y, 0, rogue).unwrap();
+    b.connect(g, y, 0, AnyChannel::custom(rogue)).unwrap();
     let mut sim = Simulator::new(b.build().unwrap());
     // rise at 0, fall at 1, rise at 2 — the rogue cancel is the last feed
     sim.set_input(
@@ -119,7 +119,7 @@ fn cancellation_with_nothing_pending_is_a_hard_error() {
     let g = b.gate("buf", GateKind::Buf, Bit::Zero);
     let y = b.output("y");
     b.connect_direct(a, g, 0).unwrap();
-    b.connect(g, y, 0, CancelFirst).unwrap();
+    b.connect(g, y, 0, AnyChannel::custom(CancelFirst)).unwrap();
     let mut sim = Simulator::new(b.build().unwrap());
     sim.set_input("a", Signal::pulse(0.0, 1.0).unwrap())
         .unwrap();
@@ -185,7 +185,8 @@ fn cancellation_reaching_past_a_delivered_event_is_a_hard_error() {
     let g = b.gate("buf", GateKind::Buf, Bit::Zero);
     let y = b.output("y");
     b.connect_direct(a, g, 0).unwrap();
-    b.connect(g, y, 0, Unforgetful::default()).unwrap();
+    b.connect(g, y, 0, AnyChannel::custom(Unforgetful::default()))
+        .unwrap();
     let mut sim = Simulator::new(b.build().unwrap());
     // rise at 0 → output at 2, delivered; fall at 3 → output at 5; the
     // rise at 4 cancels the pending fall at 5 (legitimately); the fall

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use ivl_circuit::{
     Circuit, CircuitBuilder, GateKind, QueueBackend, Scenario, ScenarioRunner, Simulator,
 };
-use ivl_core::channel::{InertialDelay, InvolutionChannel, PureDelay, SimChannel};
+use ivl_core::channel::{AnyChannel, InertialDelay, InvolutionChannel, PureDelay, SimChannel};
 use ivl_core::delay::ExpChannel;
 use ivl_core::{Bit, Signal};
 
@@ -29,13 +29,13 @@ enum Family {
     Pure,
 }
 
-fn make_channel(family: Family) -> Box<dyn SimChannel> {
+fn make_channel(family: Family) -> AnyChannel {
     match family {
         Family::Involution => {
-            InvolutionChannel::new(ExpChannel::new(1.0, 0.5, 0.5).unwrap()).clone_box()
+            InvolutionChannel::new(ExpChannel::new(1.0, 0.5, 0.5).unwrap()).into()
         }
-        Family::Inertial => InertialDelay::new(1.0, 0.4).unwrap().clone_box(),
-        Family::Pure => PureDelay::new(0.7).unwrap().clone_box(),
+        Family::Inertial => InertialDelay::new(1.0, 0.4).unwrap().into(),
+        Family::Pure => PureDelay::new(0.7).unwrap().into(),
     }
 }
 
@@ -52,7 +52,7 @@ fn build_circuit(stages: u32, family: Family) -> Circuit {
         if i == 0 {
             b.connect_direct(prev, g, 0).unwrap();
         } else {
-            b.connect_boxed(prev, g, 0, make_channel(family)).unwrap();
+            b.connect(prev, g, 0, make_channel(family)).unwrap();
         }
         prev = g;
     }
@@ -60,11 +60,11 @@ fn build_circuit(stages: u32, family: Family) -> Circuit {
     let l = b.gate("dia_l", GateKind::Not, Bit::Zero);
     let r = b.gate("dia_r", GateKind::Not, Bit::Zero);
     let j = b.gate("dia_j", GateKind::Nand, Bit::One);
-    b.connect_boxed(prev, l, 0, make_channel(family)).unwrap();
-    b.connect_boxed(prev, r, 0, make_channel(family)).unwrap();
-    b.connect_boxed(l, j, 0, make_channel(family)).unwrap();
-    b.connect_boxed(r, j, 1, make_channel(family)).unwrap();
-    b.connect_boxed(j, y, 0, make_channel(family)).unwrap();
+    b.connect(prev, l, 0, make_channel(family)).unwrap();
+    b.connect(prev, r, 0, make_channel(family)).unwrap();
+    b.connect(l, j, 0, make_channel(family)).unwrap();
+    b.connect(r, j, 1, make_channel(family)).unwrap();
+    b.connect(j, y, 0, make_channel(family)).unwrap();
     b.build().unwrap()
 }
 

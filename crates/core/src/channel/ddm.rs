@@ -58,6 +58,7 @@ impl DdmEdgeParams {
 
     /// Evaluates the DDM delay at offset `t` (`+∞` maps to `t_p0`).
     #[must_use]
+    #[inline]
     pub fn delay(&self, t: f64) -> f64 {
         if t == f64::INFINITY {
             return self.t_p0;
@@ -105,7 +106,7 @@ impl DegradationDelay {
         DegradationDelay {
             up,
             down,
-            engine: EngineCore::new(CancelRule::NonFifo),
+            engine: EngineCore::new(),
         }
     }
 
@@ -129,19 +130,21 @@ impl DegradationDelay {
 }
 
 impl OnlineChannel for DegradationDelay {
+    #[inline]
     fn feed(&mut self, input: Transition) -> FeedEffect {
         let t = self.engine.offset(input.time);
         let delay = match input.value.edge() {
             Edge::Rising => self.up.delay(t),
             Edge::Falling => self.down.delay(t),
         };
-        self.engine.feed(input, delay)
+        self.engine.feed(input, delay, CancelRule::NonFifo)
     }
 
     fn reset(&mut self) {
         self.engine.reset();
     }
 
+    #[inline]
     fn discard_delivered(&mut self, before: f64) {
         self.engine.discard_delivered(before);
     }

@@ -66,7 +66,7 @@ impl<D: DelayPair, N: NoiseSource> EtaInvolutionChannel<D, N> {
             delay,
             bounds,
             noise,
-            engine: EngineCore::new(CancelRule::NonFifo),
+            engine: EngineCore::new(),
         }
     }
 
@@ -108,9 +108,24 @@ impl<D: DelayPair, N: NoiseSource> EtaInvolutionChannel<D, N> {
     pub fn is_faithful_parameterization(&self) -> bool {
         self.bounds.satisfies_constraint_c(&self.delay)
     }
+
+    /// The same channel, history included, over `f(delay)` and `g(noise)`.
+    pub(crate) fn map_parts<E, M>(
+        self,
+        f: impl FnOnce(D) -> E,
+        g: impl FnOnce(N) -> M,
+    ) -> EtaInvolutionChannel<E, M> {
+        EtaInvolutionChannel {
+            delay: f(self.delay),
+            bounds: self.bounds,
+            noise: g(self.noise),
+            engine: self.engine,
+        }
+    }
 }
 
 impl<D: DelayPair, N: NoiseSource> OnlineChannel for EtaInvolutionChannel<D, N> {
+    #[inline]
     fn feed(&mut self, input: Transition) -> FeedEffect {
         let offset = self.engine.offset(input.time);
         let edge = input.value.edge();
@@ -134,13 +149,14 @@ impl<D: DelayPair, N: NoiseSource> OnlineChannel for EtaInvolutionChannel<D, N> 
             );
             base + self.bounds.clamp(eta)
         };
-        self.engine.feed(input, delay)
+        self.engine.feed(input, delay, CancelRule::NonFifo)
     }
 
     fn reset(&mut self) {
         self.engine.reset();
     }
 
+    #[inline]
     fn discard_delivered(&mut self, before: f64) {
         self.engine.discard_delivered(before);
     }

@@ -58,7 +58,7 @@ impl InertialDelay {
         Ok(InertialDelay {
             delay,
             window,
-            engine: EngineCore::new(CancelRule::MinSeparation(window)),
+            engine: EngineCore::new(),
         })
     }
 
@@ -76,14 +76,17 @@ impl InertialDelay {
 }
 
 impl OnlineChannel for InertialDelay {
+    #[inline]
     fn feed(&mut self, input: Transition) -> FeedEffect {
-        self.engine.feed(input, self.delay)
+        self.engine
+            .feed(input, self.delay, CancelRule::MinSeparation(self.window))
     }
 
     fn reset(&mut self) {
         self.engine.reset();
     }
 
+    #[inline]
     fn discard_delivered(&mut self, before: f64) {
         self.engine.discard_delivered(before);
     }

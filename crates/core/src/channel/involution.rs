@@ -35,7 +35,7 @@ impl<D: DelayPair> InvolutionChannel<D> {
     pub fn new(delay: D) -> Self {
         InvolutionChannel {
             delay,
-            engine: EngineCore::new(CancelRule::NonFifo),
+            engine: EngineCore::new(),
         }
     }
 
@@ -50,19 +50,29 @@ impl<D: DelayPair> InvolutionChannel<D> {
     pub fn into_delay_pair(self) -> D {
         self.delay
     }
+
+    /// The same channel, history included, over `f(delay)`.
+    pub(crate) fn map_delay<E>(self, f: impl FnOnce(D) -> E) -> InvolutionChannel<E> {
+        InvolutionChannel {
+            delay: f(self.delay),
+            engine: self.engine,
+        }
+    }
 }
 
 impl<D: DelayPair> OnlineChannel for InvolutionChannel<D> {
+    #[inline]
     fn feed(&mut self, input: Transition) -> FeedEffect {
         let t = self.engine.offset(input.time);
         let delay = self.delay.delta(input.value.edge(), t);
-        self.engine.feed(input, delay)
+        self.engine.feed(input, delay, CancelRule::NonFifo)
     }
 
     fn reset(&mut self) {
         self.engine.reset();
     }
 
+    #[inline]
     fn discard_delivered(&mut self, before: f64) {
         self.engine.discard_delivered(before);
     }

@@ -24,8 +24,13 @@
 //! | [`InvolutionChannel`] | involution delays (DATE'15) | yes |
 //! | [`EtaInvolutionChannel`] | involution + adversarial η (this paper) | yes, under constraint (C) |
 //!
+//! [`AnyChannel`] holds any of them by value (plus a boxed escape hatch
+//! for custom kinds); it is what circuits store per edge and what the
+//! [`factory`](crate::factory) registry builds.
+//!
 //! [IEEE TC 2016]: https://doi.org/10.1109/TC.2015.2435791
 
+mod any;
 mod ddm;
 mod engine;
 mod eta;
@@ -33,6 +38,7 @@ mod inertial;
 mod involution;
 mod pure;
 
+pub use any::AnyChannel;
 pub use ddm::{DdmEdgeParams, DegradationDelay};
 pub use eta::EtaInvolutionChannel;
 pub use inertial::InertialDelay;
@@ -130,7 +136,9 @@ impl<C: OnlineChannel + ?Sized> OnlineChannel for Box<C> {
 ///
 /// Implemented automatically for every `OnlineChannel + Clone + Send +
 /// Sync + 'static` type — all channels shipped by this crate qualify;
-/// custom channels only need `#[derive(Clone)]`.
+/// custom channels only need `#[derive(Clone)]`. A circuit stores the
+/// built-in kinds inline as [`AnyChannel`] variants and any other
+/// `SimChannel` boxed, through [`AnyChannel::custom`].
 ///
 /// [`Circuit`]: https://docs.rs/ivl_circuit
 pub trait SimChannel: OnlineChannel + Send + Sync {

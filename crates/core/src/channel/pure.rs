@@ -42,7 +42,7 @@ impl PureDelay {
         }
         Ok(PureDelay {
             delay,
-            engine: EngineCore::new(CancelRule::NonFifo),
+            engine: EngineCore::new(),
         })
     }
 
@@ -54,14 +54,16 @@ impl PureDelay {
 }
 
 impl OnlineChannel for PureDelay {
+    #[inline]
     fn feed(&mut self, input: Transition) -> FeedEffect {
-        self.engine.feed(input, self.delay)
+        self.engine.feed(input, self.delay, CancelRule::NonFifo)
     }
 
     fn reset(&mut self) {
         self.engine.reset();
     }
 
+    #[inline]
     fn discard_delivered(&mut self, before: f64) {
         self.engine.discard_delivered(before);
     }

@@ -108,6 +108,7 @@ impl ExpChannel {
 
     /// Shared evaluation: `τ ln(1 − e^{−(T + c_in)/τ}) + c_out`, with the
     /// extended-argument conventions of [`DelayPair`].
+    #[inline]
     fn eval(&self, t: f64, c_in: f64, c_out: f64) -> f64 {
         if t == f64::INFINITY {
             return c_out;
@@ -142,11 +143,13 @@ impl ExpChannel {
 }
 
 impl DelayPair for ExpChannel {
+    #[inline]
     fn delta_up(&self, t: f64) -> f64 {
         // c_in = T_p − τ ln V_th = δ↓∞ ; c_out = T_p − τ ln(1 − V_th) = δ↑∞
         self.eval(t, self.down_inf, self.up_inf)
     }
 
+    #[inline]
     fn delta_down(&self, t: f64) -> f64 {
         self.eval(t, self.up_inf, self.down_inf)
     }

@@ -23,6 +23,9 @@
 //! * [`EmpiricalPair`] — two independently measured polylines, as lab
 //!   data comes (involution property approximate, quantifiable).
 //!
+//! [`DelayFamily`] names the closed-form families a channel spec can
+//! select (`exp` or `rational`) and is itself a `DelayPair`.
+//!
 //! Free functions [`delta_min_of`], [`check_involution`] and the
 //! [`fit`] submodule (least-squares exp-channel fitting) operate on any
 //! `DelayPair`.
@@ -30,6 +33,7 @@
 mod derived;
 mod empirical;
 mod exp;
+mod family;
 pub mod fit;
 mod piecewise;
 mod polyline;
@@ -38,6 +42,7 @@ mod rational;
 pub use derived::DerivedPair;
 pub use empirical::EmpiricalPair;
 pub use exp::ExpChannel;
+pub use family::DelayFamily;
 pub use piecewise::PiecewiseLinearPair;
 pub use rational::RationalPair;
 

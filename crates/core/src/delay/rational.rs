@@ -89,6 +89,7 @@ impl RationalPair {
         0.5 * (s - disc.sqrt())
     }
 
+    #[inline]
     fn eval(t: f64, shift: f64, b: f64, sup: f64) -> f64 {
         if t == f64::INFINITY {
             return sup;
@@ -115,10 +116,12 @@ impl RationalPair {
 }
 
 impl DelayPair for RationalPair {
+    #[inline]
     fn delta_up(&self, t: f64) -> f64 {
         Self::eval(t, self.c, self.b, self.a)
     }
 
+    #[inline]
     fn delta_down(&self, t: f64) -> f64 {
         Self::eval(t, self.a, self.b, self.c)
     }

@@ -4,11 +4,12 @@
 //! Spec-driven front ends (the `faithful::Experiment` facade, stored
 //! experiment files, job queues) describe channels as data — a kind
 //! string plus key/value parameters — rather than as Rust constructor
-//! calls. A [`ChannelRegistry`] resolves such descriptions to boxed
-//! [`SimChannel`]s. The registry ships with factories for every channel
+//! calls. A [`ChannelRegistry`] resolves such descriptions to
+//! [`AnyChannel`]s. The registry ships with factories for every channel
 //! family of this crate (`pure`, `inertial`, `ddm`, `involution`,
-//! `eta`); custom channels plug in by implementing [`ChannelFactory`]
-//! and calling [`ChannelRegistry::register`].
+//! `eta`), which build the inline variants; custom channels plug in by
+//! implementing [`ChannelFactory`] (returning
+//! [`AnyChannel::custom`]) and calling [`ChannelRegistry::register`].
 //!
 //! ```
 //! use ivl_core::factory::{ChannelParams, ChannelRegistry};
@@ -32,13 +33,13 @@
 use std::fmt;
 
 use crate::channel::{
-    DdmEdgeParams, DegradationDelay, EtaInvolutionChannel, InertialDelay, InvolutionChannel,
-    PureDelay, SimChannel,
+    AnyChannel, DdmEdgeParams, DegradationDelay, EtaInvolutionChannel, InertialDelay,
+    InvolutionChannel, PureDelay,
 };
-use crate::delay::{DelayPair, ExpChannel, RationalPair};
+use crate::delay::{DelayFamily, ExpChannel, RationalPair};
 use crate::error::Error;
 use crate::noise::{
-    ConstantShift, EtaBounds, ExtendingAdversary, TruncatedGaussian, UniformNoise,
+    ConstantShift, EtaBounds, EtaNoise, ExtendingAdversary, TruncatedGaussian, UniformNoise,
     WorstCaseAdversary, ZeroNoise,
 };
 
@@ -222,7 +223,7 @@ pub trait ChannelFactory: Send + Sync {
     ///
     /// [`Error::InvalidChannelParams`] for missing or mistyped
     /// parameters, or any constructor error of the underlying channel.
-    fn build(&self, params: &ChannelParams) -> Result<Box<dyn SimChannel>, Error>;
+    fn build(&self, params: &ChannelParams) -> Result<AnyChannel, Error>;
 }
 
 /// A name-indexed collection of [`ChannelFactory`]s.
@@ -291,7 +292,7 @@ impl ChannelRegistry {
     /// [`Error::UnknownChannelKind`] if no factory answers to `kind`;
     /// otherwise whatever the factory's
     /// [`build`](ChannelFactory::build) returns.
-    pub fn build(&self, kind: &str, params: &ChannelParams) -> Result<Box<dyn SimChannel>, Error> {
+    pub fn build(&self, kind: &str, params: &ChannelParams) -> Result<AnyChannel, Error> {
         self.factories
             .iter()
             .rev()
@@ -329,17 +330,6 @@ pub fn delay_pair_from(params: &ChannelParams) -> Result<DelayFamily, Error> {
     }
 }
 
-/// A delay pair constructed by name — one variant per closed-form
-/// family the factories understand.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub enum DelayFamily {
-    /// First-order RC switching delays ([`ExpChannel`]).
-    Exp(ExpChannel),
-    /// The algebraic involution family ([`RationalPair`]).
-    Rational(RationalPair),
-}
-
 struct PureFactory;
 
 impl ChannelFactory for PureFactory {
@@ -347,8 +337,8 @@ impl ChannelFactory for PureFactory {
         "pure"
     }
 
-    fn build(&self, params: &ChannelParams) -> Result<Box<dyn SimChannel>, Error> {
-        Ok(Box::new(PureDelay::new(params.num("delay")?)?))
+    fn build(&self, params: &ChannelParams) -> Result<AnyChannel, Error> {
+        Ok(PureDelay::new(params.num("delay")?)?.into())
     }
 }
 
@@ -359,11 +349,8 @@ impl ChannelFactory for InertialFactory {
         "inertial"
     }
 
-    fn build(&self, params: &ChannelParams) -> Result<Box<dyn SimChannel>, Error> {
-        Ok(Box::new(InertialDelay::new(
-            params.num("delay")?,
-            params.num("window")?,
-        )?))
+    fn build(&self, params: &ChannelParams) -> Result<AnyChannel, Error> {
+        Ok(InertialDelay::new(params.num("delay")?, params.num("window")?)?.into())
     }
 }
 
@@ -374,12 +361,12 @@ impl ChannelFactory for DdmFactory {
         "ddm"
     }
 
-    fn build(&self, params: &ChannelParams) -> Result<Box<dyn SimChannel>, Error> {
+    fn build(&self, params: &ChannelParams) -> Result<AnyChannel, Error> {
         // symmetric form: t_p0 / t_0 / tau; per-edge form: up_* / down_*
         if params.get("t_p0").is_some() {
             let p =
                 DdmEdgeParams::new(params.num("t_p0")?, params.num("t_0")?, params.num("tau")?)?;
-            return Ok(Box::new(DegradationDelay::symmetric(p)));
+            return Ok(DegradationDelay::symmetric(p).into());
         }
         let up = DdmEdgeParams::new(
             params.num("up_t_p0")?,
@@ -391,7 +378,7 @@ impl ChannelFactory for DdmFactory {
             params.num("down_t_0")?,
             params.num("down_tau")?,
         )?;
-        Ok(Box::new(DegradationDelay::new(up, down)))
+        Ok(DegradationDelay::new(up, down).into())
     }
 }
 
@@ -402,11 +389,8 @@ impl ChannelFactory for InvolutionFactory {
         "involution"
     }
 
-    fn build(&self, params: &ChannelParams) -> Result<Box<dyn SimChannel>, Error> {
-        Ok(match delay_pair_from(params)? {
-            DelayFamily::Exp(d) => Box::new(InvolutionChannel::new(d)),
-            DelayFamily::Rational(d) => Box::new(InvolutionChannel::new(d)),
-        })
+    fn build(&self, params: &ChannelParams) -> Result<AnyChannel, Error> {
+        Ok(InvolutionChannel::new(delay_pair_from(params)?).into())
     }
 }
 
@@ -417,51 +401,32 @@ impl ChannelFactory for EtaFactory {
         "eta"
     }
 
-    fn build(&self, params: &ChannelParams) -> Result<Box<dyn SimChannel>, Error> {
+    fn build(&self, params: &ChannelParams) -> Result<AnyChannel, Error> {
         let bounds = EtaBounds::new(params.num_or("minus", 0.0)?, params.num_or("plus", 0.0)?)?;
-        match delay_pair_from(params)? {
-            DelayFamily::Exp(d) => build_eta(d, bounds, params),
-            DelayFamily::Rational(d) => build_eta(d, bounds, params),
-        }
+        let delay = delay_pair_from(params)?;
+        let noise: EtaNoise = match params.text_or("noise", "zero")? {
+            "zero" => ZeroNoise.into(),
+            "worst_case" => WorstCaseAdversary.into(),
+            "extending" => ExtendingAdversary.into(),
+            "uniform" => UniformNoise::new(params.int_or("seed", 0)?).into(),
+            "gaussian" => {
+                TruncatedGaussian::new(params.num("sigma")?, params.int_or("seed", 0)?)?.into()
+            }
+            "constant" => ConstantShift(params.num("shift")?).into(),
+            other => {
+                return Err(Error::InvalidChannelParams {
+                    reason: format!("unknown noise kind {other:?}"),
+                })
+            }
+        };
+        Ok(EtaInvolutionChannel::new(delay, bounds, noise).into())
     }
-}
-
-fn build_eta<D: DelayPair + Clone + Send + Sync + 'static>(
-    delay: D,
-    bounds: EtaBounds,
-    params: &ChannelParams,
-) -> Result<Box<dyn SimChannel>, Error> {
-    Ok(match params.text_or("noise", "zero")? {
-        "zero" => Box::new(EtaInvolutionChannel::new(delay, bounds, ZeroNoise)),
-        "worst_case" => Box::new(EtaInvolutionChannel::new(delay, bounds, WorstCaseAdversary)),
-        "extending" => Box::new(EtaInvolutionChannel::new(delay, bounds, ExtendingAdversary)),
-        "uniform" => Box::new(EtaInvolutionChannel::new(
-            delay,
-            bounds,
-            UniformNoise::new(params.int_or("seed", 0)?),
-        )),
-        "gaussian" => Box::new(EtaInvolutionChannel::new(
-            delay,
-            bounds,
-            TruncatedGaussian::new(params.num("sigma")?, params.int_or("seed", 0)?)?,
-        )),
-        "constant" => Box::new(EtaInvolutionChannel::new(
-            delay,
-            bounds,
-            ConstantShift(params.num("shift")?),
-        )),
-        other => {
-            return Err(Error::InvalidChannelParams {
-                reason: format!("unknown noise kind {other:?}"),
-            })
-        }
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{Channel, FeedEffect, OnlineChannel};
+    use crate::channel::{Channel, FeedEffect, OnlineChannel, SimChannel};
     use crate::signal::{Signal, Transition};
     use crate::Bit;
 
@@ -591,7 +556,7 @@ mod tests {
     fn error_variants_carry_exact_payloads() {
         let r = ChannelRegistry::with_builtins();
         let fail = |kind: &str, params: &ChannelParams| {
-            r.build(kind, params).err().expect("build must fail")
+            r.build(kind, params).expect_err("build must fail")
         };
         // unknown kind: the variant names the kind verbatim
         match fail("nope", &ChannelParams::new()) {
@@ -620,7 +585,7 @@ mod tests {
             fn kind(&self) -> &str {
                 "pure"
             }
-            fn build(&self, _params: &ChannelParams) -> Result<Box<dyn SimChannel>, Error> {
+            fn build(&self, _params: &ChannelParams) -> Result<AnyChannel, Error> {
                 Err(Error::InvalidChannelParams {
                     reason: "picky shadow rejects everything".into(),
                 })
@@ -632,8 +597,7 @@ mod tests {
         // the shadow — later registrations win for errors too
         let err = r
             .build("pure", &ChannelParams::new().with_num("delay", 1.0))
-            .err()
-            .expect("shadow must reject");
+            .expect_err("shadow must reject");
         match err {
             Error::InvalidChannelParams { reason } => {
                 assert_eq!(reason, "picky shadow rejects everything");
@@ -658,8 +622,8 @@ mod tests {
             fn kind(&self) -> &str {
                 "pure"
             }
-            fn build(&self, _params: &ChannelParams) -> Result<Box<dyn SimChannel>, Error> {
-                Ok(Box::new(PureDelay::new(42.0)?))
+            fn build(&self, _params: &ChannelParams) -> Result<AnyChannel, Error> {
+                Ok(PureDelay::new(42.0)?.into())
             }
         }
         let mut r = ChannelRegistry::with_builtins();

@@ -93,12 +93,14 @@ impl EtaBounds {
 
     /// `true` if `eta` lies in `[−η⁻, η⁺]`.
     #[must_use]
+    #[inline]
     pub fn contains(&self, eta: f64) -> bool {
         -self.minus <= eta && eta <= self.plus
     }
 
     /// Clamps `eta` into `[−η⁻, η⁺]`.
     #[must_use]
+    #[inline]
     pub fn clamp(&self, eta: f64) -> f64 {
         eta.clamp(-self.minus, self.plus)
     }
@@ -233,6 +235,7 @@ impl UniformNoise {
 }
 
 impl NoiseSource for UniformNoise {
+    #[inline]
     fn sample(&mut self, ctx: &NoiseContext) -> f64 {
         let (lo, hi) = (-ctx.bounds.minus(), ctx.bounds.plus());
         if hi <= lo {
@@ -386,6 +389,68 @@ impl<F> std::fmt::Debug for FnNoise<F> {
         f.debug_tuple("FnNoise").finish()
     }
 }
+
+/// The noise sources a channel spec can name — the adversary of the
+/// built-in η-involution channel in
+/// [`AnyChannel`](crate::channel::AnyChannel), dispatched by `match`
+/// rather than through a trait object. Each variant forwards to the
+/// source it wraps, so it draws exactly the same η sequence.
+#[derive(Debug, Clone)]
+#[non_exhaustive]
+pub enum EtaNoise {
+    /// [`ZeroNoise`] (`noise = "zero"`).
+    Zero(ZeroNoise),
+    /// [`WorstCaseAdversary`] (`noise = "worst_case"`).
+    WorstCase(WorstCaseAdversary),
+    /// [`ExtendingAdversary`] (`noise = "extending"`).
+    Extending(ExtendingAdversary),
+    /// [`UniformNoise`] (`noise = "uniform"`).
+    Uniform(UniformNoise),
+    /// [`TruncatedGaussian`] (`noise = "gaussian"`).
+    Gaussian(TruncatedGaussian),
+    /// [`ConstantShift`] (`noise = "constant"`).
+    Constant(ConstantShift),
+}
+
+macro_rules! eta_noise_from {
+    ($($variant:ident($source:ty)),* $(,)?) => {
+        $(impl From<$source> for EtaNoise {
+            fn from(n: $source) -> Self {
+                EtaNoise::$variant(n)
+            }
+        })*
+
+        impl NoiseSource for EtaNoise {
+            #[inline]
+            fn sample(&mut self, ctx: &NoiseContext) -> f64 {
+                match self {
+                    $(EtaNoise::$variant(n) => n.sample(ctx),)*
+                }
+            }
+
+            fn reset(&mut self) {
+                match self {
+                    $(EtaNoise::$variant(n) => n.reset(),)*
+                }
+            }
+
+            fn reseed(&mut self, seed: u64) {
+                match self {
+                    $(EtaNoise::$variant(n) => n.reseed(seed),)*
+                }
+            }
+        }
+    };
+}
+
+eta_noise_from!(
+    Zero(ZeroNoise),
+    WorstCase(WorstCaseAdversary),
+    Extending(ExtendingAdversary),
+    Uniform(UniformNoise),
+    Gaussian(TruncatedGaussian),
+    Constant(ConstantShift),
+);
 
 #[cfg(test)]
 mod tests {

@@ -4,7 +4,7 @@
 use std::sync::Mutex;
 
 use ivl_circuit::{CircuitBuilder, EdgeId, GateKind, NodeId, Simulator};
-use ivl_core::channel::{EtaInvolutionChannel, InvolutionChannel};
+use ivl_core::channel::{AnyChannel, EtaInvolutionChannel, InvolutionChannel};
 use ivl_core::delay::{DelayPair, ExpChannel};
 use ivl_core::noise::{EtaBounds, NoiseSource, ZeroNoise};
 use ivl_core::{Bit, Signal};
@@ -159,7 +159,11 @@ impl<D: DelayPair + Clone + Send + Sync + 'static> SpfCircuit<D> {
             or,
             or,
             1,
-            EtaInvolutionChannel::new(self.delay.clone(), self.bounds, ZeroNoise),
+            AnyChannel::custom(EtaInvolutionChannel::new(
+                self.delay.clone(),
+                self.bounds,
+                ZeroNoise,
+            )),
         )?;
         b.connect(or, o, 0, InvolutionChannel::new(self.buffer.clone()))?;
         let circuit = b.build()?;
@@ -199,7 +203,7 @@ impl<D: DelayPair + Clone + Send + Sync + 'static> SpfCircuit<D> {
         };
         cached.sim.replace_channel(
             cached.feedback,
-            Box::new(EtaInvolutionChannel::new(
+            AnyChannel::custom(EtaInvolutionChannel::new(
                 self.delay.clone(),
                 self.bounds,
                 noise,

@@ -21,7 +21,7 @@
 //! single rising transition (condition F4).
 
 use ivl_circuit::{CircuitBuilder, GateKind, Simulator};
-use ivl_core::channel::{EtaInvolutionChannel, InvolutionChannel};
+use ivl_core::channel::{AnyChannel, EtaInvolutionChannel, InvolutionChannel};
 use ivl_core::delay::{DelayPair, ExpChannel};
 use ivl_core::noise::{EtaBounds, NoiseSource};
 use ivl_core::{Bit, Signal};
@@ -136,13 +136,21 @@ impl<D: DelayPair + Clone + Send + Sync + 'static> OneShotLatch<D> {
             and,
             or,
             0,
-            EtaInvolutionChannel::new(self.delay.clone(), self.bounds, noise_in),
+            AnyChannel::custom(EtaInvolutionChannel::new(
+                self.delay.clone(),
+                self.bounds,
+                noise_in,
+            )),
         )?;
         b.connect(
             or,
             or,
             1,
-            EtaInvolutionChannel::new(self.delay.clone(), self.bounds, noise_loop),
+            AnyChannel::custom(EtaInvolutionChannel::new(
+                self.delay.clone(),
+                self.bounds,
+                noise_loop,
+            )),
         )?;
         b.connect(or, q, 0, InvolutionChannel::new(self.buffer.clone()))?;
         let circuit = b.build()?;

@@ -242,7 +242,7 @@ impl Experiment {
             WorkloadSpec::Channel(c) => {
                 let mut channel = self.registry.build(&c.channel.kind, &c.channel.params)?;
                 let input = c.input.build()?;
-                let output = apply_online(&mut *channel, &input);
+                let output = apply_online(&mut channel, &input);
                 Ok(ExperimentResult::Channel(ChannelResult { output }))
             }
             WorkloadSpec::Digital(d) => self.run_digital(d),

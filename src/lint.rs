@@ -51,8 +51,8 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use ivl_core::channel::{apply_online, OnlineChannel};
-use ivl_core::delay::{check_involution, delta_min_of, DelayPair};
-use ivl_core::factory::{delay_pair_from, ChannelParams, ChannelRegistry, DelayFamily, ParamValue};
+use ivl_core::delay::{check_involution, delta_min_of, DelayFamily, DelayPair};
+use ivl_core::factory::{delay_pair_from, ChannelParams, ChannelRegistry, ParamValue};
 use ivl_core::noise::EtaBounds;
 use ivl_core::Signal;
 
@@ -369,7 +369,7 @@ const INVOLUTION_TOL: f64 = 1e-6;
 const DEAD_WIDTH: f64 = 1e-12;
 
 /// Cached per-channel facts from the channel-verification pass.
-#[derive(Clone, Default)]
+#[derive(Clone, Copy, Default)]
 struct ChannelFacts {
     builds: bool,
     hint: Option<f64>,
@@ -382,9 +382,13 @@ struct Linter<'a> {
     registry: &'a ChannelRegistry,
     spans: SpecSpans,
     diagnostics: Vec<Diagnostic>,
-    channels: HashMap<String, ChannelFacts>,
-    /// `(channel key, width bits)` → surviving output width.
-    probe_cache: HashMap<(String, u64), Option<f64>>,
+    /// Interned channel specs: canonical rendering → id.
+    channel_ids: HashMap<String, usize>,
+    /// Per interned id: where the spec text first wrote the channel
+    /// and, once verified, the channel's facts.
+    channels: Vec<(Option<Span>, Option<ChannelFacts>)>,
+    /// `(channel id, width bits)` → surviving output width.
+    probe_cache: HashMap<(usize, u64), Option<f64>>,
     probes_left: usize,
     truncated: bool,
     /// Lint for the experiment service: adds diagnostics about fields
@@ -398,7 +402,8 @@ impl<'a> Linter<'a> {
             registry,
             spans,
             diagnostics: Vec::new(),
-            channels: HashMap::new(),
+            channel_ids: HashMap::new(),
+            channels: Vec::new(),
             probe_cache: HashMap::new(),
             probes_left: PROBE_BUDGET,
             truncated: false,
@@ -503,28 +508,44 @@ impl<'a> Linter<'a> {
     // Pass 2: channel-parameter verification
     // ------------------------------------------------------------------
 
-    fn channel_key(c: &ChannelSpec) -> String {
-        channel_to_value(c).to_string()
-    }
-
-    fn channel_span(&self, key: &str) -> Option<Span> {
-        self.spans.channels.get(key).copied()
-    }
-
-    /// Verifies one channel spec (memoized by its canonical rendering)
-    /// and returns the cached facts about it.
-    fn check_channel(&mut self, c: &ChannelSpec) -> ChannelFacts {
-        let key = Self::channel_key(c);
-        if let Some(facts) = self.channels.get(&key) {
-            return facts.clone();
+    /// Interns `c` by its canonical rendering (rendered once per call):
+    /// equal specs share one id, so their facts and pulse probes are
+    /// computed once.
+    fn intern(&mut self, c: &ChannelSpec) -> usize {
+        let key = channel_to_value(c).to_string();
+        if let Some(&id) = self.channel_ids.get(&key) {
+            return id;
         }
-        let facts = self.verify_channel(c, &key);
-        self.channels.insert(key, facts.clone());
+        let id = self.channels.len();
+        self.channels
+            .push((self.spans.channels.get(&key).copied(), None));
+        self.channel_ids.insert(key, id);
+        id
+    }
+
+    /// Where the spec text first wrote the channel interned as `id`.
+    fn channel_span(&self, id: usize) -> Option<Span> {
+        self.channels[id].0
+    }
+
+    /// Verifies the channel interned as `ch.id` on first use and returns
+    /// the cached facts about it.
+    fn facts(&mut self, ch: GChannel<'_>) -> ChannelFacts {
+        if let Some(facts) = self.channels[ch.id].1 {
+            return facts;
+        }
+        let facts = self.verify_channel(ch.spec, self.channel_span(ch.id));
+        self.channels[ch.id].1 = Some(facts);
         facts
     }
 
-    fn verify_channel(&mut self, c: &ChannelSpec, key: &str) -> ChannelFacts {
-        let span = self.channel_span(key);
+    /// Verifies one channel spec outside a lint graph.
+    fn check_channel(&mut self, c: &ChannelSpec) {
+        let id = self.intern(c);
+        self.facts(GChannel { spec: c, id });
+    }
+
+    fn verify_channel(&mut self, c: &ChannelSpec, span: Option<Span>) -> ChannelFacts {
         let mut facts = ChannelFacts::default();
         if !self.registry.contains(&c.kind) {
             self.push(
@@ -681,8 +702,8 @@ impl<'a> Linter<'a> {
 
         let graph = self.extract_graph(&d.topology);
         for edge in &graph.edges {
-            if let Some(c) = edge.channel {
-                self.check_channel(c);
+            if let Some(ch) = edge.channel {
+                self.facts(ch);
             }
         }
         let scc = graph.sccs();
@@ -690,11 +711,13 @@ impl<'a> Linter<'a> {
         self.hint_spread(&graph);
 
         let mut labels: HashSet<&str> = HashSet::new();
-        let input_names: HashSet<&str> = graph
+        // input port name -> node index
+        let inputs: HashMap<&str, usize> = graph
             .nodes
             .iter()
-            .filter(|n| n.kind == GKind::Input)
-            .map(|n| n.name.as_str())
+            .enumerate()
+            .filter(|(_, n)| n.kind == GKind::Input)
+            .map(|(i, n)| (n.name.as_str(), i))
             .collect();
         for (i, s) in d.scenarios.iter().enumerate() {
             let span = self.spans.scenarios.get(i).copied().flatten();
@@ -707,7 +730,7 @@ impl<'a> Linter<'a> {
                 );
             }
             for (port, sig) in &s.inputs {
-                if !input_names.contains(port.as_str()) {
+                if !inputs.contains_key(port.as_str()) {
                     self.push(
                         "IVL033",
                         Severity::Error,
@@ -743,7 +766,7 @@ impl<'a> Linter<'a> {
             }
         }
 
-        self.hazard_pass(&graph, &scc, &d.scenarios);
+        self.hazard_pass(&graph, &scc, &d.scenarios, &inputs);
         self.budget_pass(&graph, d);
         self.retry_pass(&graph, d);
     }
@@ -809,7 +832,7 @@ impl<'a> Linter<'a> {
         let deterministic = g
             .edges
             .iter()
-            .all(|e| !e.channel.is_some_and(ChannelSpec::is_stochastic));
+            .all(|e| !e.channel.is_some_and(|ch| ch.spec.is_stochastic()));
         if deterministic {
             self.push(
                 "IVL041",
@@ -871,10 +894,14 @@ impl<'a> Linter<'a> {
                         }
                     }
                     if let (Some(from), Some(to)) = (from, to) {
+                        let channel = e.channel.as_ref().map(|spec| GChannel {
+                            spec,
+                            id: self.intern(spec),
+                        });
                         g.edges.push(GEdge {
                             from,
                             to,
-                            channel: e.channel.as_ref(),
+                            channel,
                             span,
                         });
                     }
@@ -898,14 +925,18 @@ impl<'a> Linter<'a> {
                     kind: GKind::Output,
                     span: None,
                 });
-                let span = self.channel_span(&Self::channel_key(channel));
+                let ch = GChannel {
+                    spec: channel,
+                    id: self.intern(channel),
+                };
+                let span = self.channel_span(ch.id);
                 for i in 0..=*stages as usize {
                     g.edges.push(GEdge {
                         from: i,
                         to: i + 1,
                         // the first hop is a direct connection, matching
                         // how the facade builds the chain
-                        channel: (i > 0).then_some(channel),
+                        channel: (i > 0).then_some(ch),
                         span,
                     });
                 }
@@ -1000,7 +1031,11 @@ impl<'a> Linter<'a> {
             kind: GKind::Output,
             span: None,
         });
-        let span = self.channel_span(&Self::channel_key(channel));
+        let ch = GChannel {
+            spec: channel,
+            id: self.intern(channel),
+        };
+        let span = self.channel_span(ch.id);
         g.edges.push(GEdge {
             from: 0,
             to: 1,
@@ -1010,7 +1045,7 @@ impl<'a> Linter<'a> {
         g.edges.push(GEdge {
             from: 1,
             to: 2,
-            channel: Some(channel),
+            channel: Some(ch),
             span,
         });
     }
@@ -1128,8 +1163,8 @@ impl<'a> Linter<'a> {
     fn edge_is_zero_delay(&mut self, e: &GEdge<'_>) -> bool {
         match e.channel {
             None => true,
-            Some(c) => {
-                let facts = self.check_channel(c);
+            Some(ch) => {
+                let facts = self.facts(ch);
                 facts.builds && facts.zero_delay
             }
         }
@@ -1144,8 +1179,8 @@ impl<'a> Linter<'a> {
         let mut max_hint: f64 = 0.0;
         let mut span = None;
         for e in &g.edges {
-            let Some(c) = e.channel else { continue };
-            let facts = self.check_channel(c);
+            let Some(ch) = e.channel else { continue };
+            let facts = self.facts(ch);
             if let Some(h) = facts.hint {
                 if h > 0.0 {
                     if h < min_hint {
@@ -1171,7 +1206,16 @@ impl<'a> Linter<'a> {
 
     // ---- pass 3: stimulus hazard analysis ----
 
-    fn hazard_pass(&mut self, g: &Graph<'_>, scc: &SccResult, scenarios: &[ScenarioSpec]) {
+    /// `inputs` maps each input port's name to its node; a scenario
+    /// that drives any other node (already an `IVL033` error) falls
+    /// back to a scan of every node.
+    fn hazard_pass(
+        &mut self,
+        g: &Graph<'_>,
+        scc: &SccResult,
+        scenarios: &[ScenarioSpec],
+        inputs: &HashMap<&str, usize>,
+    ) {
         let cyclic = &scc.cyclic;
         let order = g.topo_order(cyclic);
         // edge index -> (first scenario label, death count)
@@ -1179,7 +1223,11 @@ impl<'a> Linter<'a> {
         for s in scenarios {
             let mut width: Vec<Option<f64>> = vec![None; g.nodes.len()];
             for (port, sig) in &s.inputs {
-                if let Some(idx) = g.nodes.iter().position(|n| n.name == *port) {
+                let node = inputs
+                    .get(port.as_str())
+                    .copied()
+                    .or_else(|| g.nodes.iter().position(|n| n.name == *port));
+                if let Some(idx) = node {
                     if let Some(w) = min_pulse_width(sig) {
                         width[idx] = Some(w);
                     }
@@ -1197,7 +1245,7 @@ impl<'a> Linter<'a> {
                     }
                     let w_out = match e.channel {
                         None => Some(w),
-                        Some(c) => self.pulse_response(c, w),
+                        Some(ch) => self.pulse_response(ch, w),
                     };
                     let Some(w_out) = w_out else { continue };
                     if w_out <= DEAD_WIDTH {
@@ -1239,11 +1287,11 @@ impl<'a> Linter<'a> {
     /// adversary for `eta` channels (so a death is a death under *every*
     /// admissible noise sequence). `None` when the channel cannot be
     /// probed or the budget ran out.
-    fn pulse_response(&mut self, c: &ChannelSpec, width: f64) -> Option<f64> {
+    fn pulse_response(&mut self, ch: GChannel<'_>, width: f64) -> Option<f64> {
         if !(width.is_finite() && width > 0.0) {
             return None;
         }
-        let key = (Self::channel_key(c), width.to_bits());
+        let key = (ch.id, width.to_bits());
         if let Some(cached) = self.probe_cache.get(&key) {
             return *cached;
         }
@@ -1252,16 +1300,16 @@ impl<'a> Linter<'a> {
             return None;
         }
         self.probes_left -= 1;
-        let result = self.probe_once(c, width);
+        let result = self.probe_once(ch, width);
         self.probe_cache.insert(key, result);
         result
     }
 
-    fn probe_once(&mut self, c: &ChannelSpec, width: f64) -> Option<f64> {
-        let facts = self.check_channel(c);
-        if !facts.builds {
+    fn probe_once(&mut self, ch: GChannel<'_>, width: f64) -> Option<f64> {
+        if !self.facts(ch).builds {
             return None;
         }
+        let c = ch.spec;
         let mut channel = if c.kind == "eta" {
             // the adversary may only *shrink* the surviving width, so
             // probe against the one that extends pulses the most
@@ -1540,10 +1588,17 @@ struct GNode {
     span: Option<Span>,
 }
 
+/// A lint edge's channel: the spec plus its interned id.
+#[derive(Clone, Copy)]
+struct GChannel<'a> {
+    spec: &'a ChannelSpec,
+    id: usize,
+}
+
 struct GEdge<'a> {
     from: usize,
     to: usize,
-    channel: Option<&'a ChannelSpec>,
+    channel: Option<GChannel<'a>>,
     span: Option<Span>,
 }
 

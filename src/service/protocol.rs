@@ -15,6 +15,11 @@ pub const GREETING: &str = "faithful-serve/1";
 /// hostile length prefix must not drive an unbounded allocation.
 pub(crate) const MAX_FRAME_LEN: u32 = 64 << 20;
 
+/// The first read of a payload: a length prefix reserves nothing up
+/// front, so a peer that declares [`MAX_FRAME_LEN`] and then stalls
+/// pins one chunk, not 64 MiB.
+const READ_CHUNK: usize = 64 << 10;
+
 const TAG_HELLO: u8 = 1;
 const TAG_SUBMIT: u8 = 2;
 const TAG_RESULT: u8 = 3;
@@ -130,8 +135,7 @@ impl Frame {
                 format!("frame length {len} exceeds the protocol limit of {MAX_FRAME_LEN}"),
             ));
         }
-        let mut payload = vec![0u8; len as usize];
-        read_full(r, &mut payload)?;
+        let payload = read_payload(r, len as usize)?;
         let text = String::from_utf8(payload).map_err(|_| {
             io::Error::new(io::ErrorKind::InvalidData, "frame payload is not UTF-8")
         })?;
@@ -155,6 +159,22 @@ impl Frame {
             )),
         }
     }
+}
+
+/// Reads a `len`-byte payload into a buffer that grows only as bytes
+/// arrive: [`READ_CHUNK`] first, then doubling, capped at `len`. The
+/// buffer is never more than twice what arrived (or one chunk), its
+/// final capacity is exactly `len`, and the copies cost O(`len`).
+fn read_payload(r: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let start = payload.len();
+        let end = len.min((2 * start).max(READ_CHUNK));
+        payload.reserve_exact(end - start);
+        payload.resize(end, 0);
+        read_full(r, &mut payload[start..])?;
+    }
+    Ok(payload)
 }
 
 /// `read_exact` that rides out read timeouts and EINTR: a frame that
@@ -274,5 +294,39 @@ mod tests {
         unknown.extend_from_slice(&0u32.to_be_bytes());
         let err = Frame::read_from(&mut unknown.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A reader that records the largest buffer it was asked to fill.
+    struct Recording<'a> {
+        bytes: &'a [u8],
+        largest_request: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest_request = self.largest_request.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_declared_length_reserves_nothing_before_the_bytes_arrive() {
+        // a header declaring the maximum payload, a few bytes, then EOF
+        let mut frame = vec![TAG_SUBMIT];
+        frame.extend_from_slice(&1u64.to_be_bytes());
+        frame.extend_from_slice(&MAX_FRAME_LEN.to_be_bytes());
+        frame.extend_from_slice(b"faithful/1");
+        let mut r = Recording {
+            bytes: &frame,
+            largest_request: 0,
+        };
+        let err = Frame::read_from(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "connection closed mid-frame");
+        assert!(
+            r.largest_request <= READ_CHUNK,
+            "read into a {}-byte buffer before the payload arrived",
+            r.largest_request
+        );
     }
 }

@@ -253,8 +253,16 @@ impl fmt::Display for Token {
     }
 }
 
+/// The deepest nesting of lists and nodes a document may use. Real
+/// specs nest a handful of levels; the bound turns hostile input (say
+/// 100 000 `[`) into a [`SpecError`] instead of a stack overflow in
+/// the recursive parser, which would abort the whole process.
+pub(crate) const MAX_NESTING: usize = 128;
+
 struct Parser<'a> {
     chars: std::iter::Peekable<std::str::CharIndices<'a>>,
+    /// Lists and nodes currently open around the parse position.
+    depth: usize,
     /// Position of the *next* unread character (1-based).
     line: u32,
     column: u32,
@@ -266,6 +274,7 @@ impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         Parser {
             chars: text.char_indices().peekable(),
+            depth: 0,
             line: 1,
             column: 1,
             span: Span { line: 1, column: 1 },
@@ -420,6 +429,23 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Value, SpecError> {
         let token = self.next_token()?;
         let span = self.span;
+        if !matches!(token, Token::Word(_) | Token::Punct('[')) {
+            return self.parse_rest(token, span);
+        }
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!(
+                "lists and nodes nest more than {MAX_NESTING} levels deep"
+            )));
+        }
+        self.depth += 1;
+        let value = self.parse_rest(token, span);
+        self.depth -= 1;
+        value
+    }
+
+    /// Parses the rest of the value that starts with `token` (lexed at
+    /// `span`); a list or node recurses through [`parse_value`](Self::parse_value).
+    fn parse_rest(&mut self, token: Token, span: Span) -> Result<Value, SpecError> {
         match token {
             Token::Num(v) => Ok(Value::spanned(ValueKind::Num(v), span)),
             Token::Int(v) => Ok(Value::spanned(ValueKind::Int(v), span)),
@@ -605,6 +631,17 @@ mod tests {
         // built values have no span, but still compare equal to parsed ones
         assert_eq!(Value::num(1.0).span(), None);
         assert_eq!(fields[0].1, Value::num(1.0));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested =
+            |depth: usize| format!("faithful/1 {}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_document(&nested(MAX_NESTING)).is_ok());
+        let err = parse_document(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.message().contains("nest"), "{err}");
+        // the span names the list that opens one level too many
+        assert_eq!(err.span().map(|s| s.column), Some(12 + MAX_NESTING as u32));
     }
 
     #[test]

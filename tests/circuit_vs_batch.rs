@@ -3,7 +3,9 @@
 //! pipelines and random stimuli.
 
 use faithful::circuit::{CircuitBuilder, GateKind, Simulator};
-use faithful::core::channel::{Channel, EtaInvolutionChannel, InvolutionChannel, PureDelay};
+use faithful::core::channel::{
+    AnyChannel, Channel, EtaInvolutionChannel, InvolutionChannel, PureDelay,
+};
 use faithful::core::delay::{DelayPair, ExpChannel};
 use faithful::core::noise::{EtaBounds, RecordedChoices};
 use faithful::{Bit, Signal};
@@ -146,7 +148,11 @@ proptest! {
             g,
             y,
             0,
-            EtaInvolutionChannel::new(d.clone(), bounds, RecordedChoices::new(etas.clone())),
+            AnyChannel::custom(EtaInvolutionChannel::new(
+                d.clone(),
+                bounds,
+                RecordedChoices::new(etas.clone()),
+            )),
         )
         .unwrap();
         let mut sim = Simulator::new(b.build().unwrap());

@@ -178,7 +178,7 @@ fn warnings_do_not_deny() {
 
 #[test]
 fn delay_hint_inconsistency_is_ivl014() {
-    use faithful::core::channel::{FeedEffect, OnlineChannel};
+    use faithful::core::channel::{AnyChannel, FeedEffect, OnlineChannel};
     use faithful::core::factory::ChannelFactory;
     use faithful::core::Transition;
 
@@ -199,11 +199,8 @@ fn delay_hint_inconsistency_is_ivl014() {
         fn kind(&self) -> &str {
             "lying"
         }
-        fn build(
-            &self,
-            _params: &ChannelParams,
-        ) -> Result<Box<dyn faithful::core::channel::SimChannel>, faithful::core::Error> {
-            Ok(Box::new(LyingChannel))
+        fn build(&self, _params: &ChannelParams) -> Result<AnyChannel, faithful::core::Error> {
+            Ok(AnyChannel::custom(LyingChannel))
         }
     }
     let mut registry = ChannelRegistry::with_builtins();

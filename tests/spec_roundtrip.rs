@@ -561,3 +561,26 @@ fn fault_tolerance_docs_are_pinned() {
         assert!(readme.contains(needle), "README.md lost {needle:?}");
     }
 }
+
+/// A channel spec whose `input =` opens `depth` lists.
+fn nested_input_spec(depth: usize) -> String {
+    format!(
+        "faithful/1 channel {{ channel = pure {{ delay = 1.0 }}; input = {} }}",
+        "[".repeat(depth)
+    )
+}
+
+#[test]
+fn hostile_nesting_is_a_spec_error_not_an_abort() {
+    // 100 000 open lists used to overflow the recursive parser's stack,
+    // which aborts the process; the facade and lint share that parser
+    let text = nested_input_spec(100_000);
+    let err = faithful::Experiment::parse(&text).expect_err("hostile nesting must not parse");
+    let message = err.to_string();
+    assert!(message.contains("nest"), "{message}");
+    let registry = faithful::core::factory::ChannelRegistry::with_builtins();
+    let err = faithful::lint_text(&text, &registry).expect_err("hostile nesting must not lint");
+    let span = err.span().expect("the error points into the text");
+    assert_eq!(span.line, 1);
+    assert!(span.column > 128, "{span:?}");
+}

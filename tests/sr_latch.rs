@@ -4,7 +4,7 @@
 //! paper's arbiter/synchronizer/latch equivalence (ref. [1]).
 
 use faithful::circuit::{CircuitBuilder, GateKind, Simulator};
-use faithful::core::channel::EtaInvolutionChannel;
+use faithful::core::channel::{AnyChannel, EtaInvolutionChannel};
 use faithful::core::delay::ExpChannel;
 use faithful::core::noise::{EtaBounds, NoiseSource, UniformNoise, ZeroNoise};
 use faithful::{Bit, Signal};
@@ -30,7 +30,7 @@ where
         qb_gate,
         q_gate,
         1,
-        EtaInvolutionChannel::new(d.clone(), bounds, n1),
+        AnyChannel::custom(EtaInvolutionChannel::new(d.clone(), bounds, n1)),
     )
     .unwrap();
     b.connect_direct(s_in, qb_gate, 0).unwrap();
@@ -38,7 +38,7 @@ where
         q_gate,
         qb_gate,
         1,
-        EtaInvolutionChannel::new(d.clone(), bounds, n2),
+        AnyChannel::custom(EtaInvolutionChannel::new(d.clone(), bounds, n2)),
     )
     .unwrap();
     b.connect_direct(q_gate, q_out, 0).unwrap();
